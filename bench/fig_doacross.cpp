@@ -60,27 +60,30 @@ std::map<const ForStmt*, LoopProfile> profileRun(const CompiledProgram& cp,
 
 const char* kTriangular = R"(
 proc main() {
-  real t[256, 256];
-  for i = 0 to 255 {
-    for j = 0 to i { t[i, j] = noise(i * 256 + j) * 0.5; }
+  real t[512, 512];
+  for i = 0 to 511 {
+    for j = 0 to i { t[i, j] = noise(i * 512 + j) * 0.5; }
   }
-  sink(t[200, 100]);
+  sink(t[400, 200]);
 }
 )";
 
+constexpr int kSchedReps = 9;
+
 double timeTriangular(const CompiledProgram& cp, SchedPolicy pol) {
-  // Best of 3: the simulated makespan is max-over-workers busy time,
-  // which is stable, but the serial fringe around it is not.
-  double best = 0;
-  for (int rep = 0; rep < 3; ++rep) {
+  // Median of kSchedReps: the simulated makespan is max-over-workers busy
+  // time, which one preempted worker can inflate in any single run.
+  std::vector<double> seconds;
+  for (int rep = 0; rep < kSchedReps; ++rep) {
     InterpOptions opt;
     opt.plans = &cp.pred;
     opt.num_threads = kThreads;
     opt.sched = pol;
-    InterpStats st = execute(*cp.program, opt);
-    if (rep == 0 || st.simulated_seconds < best) best = st.simulated_seconds;
+    seconds.push_back(execute(*cp.program, opt).simulated_seconds);
   }
-  return best;
+  std::nth_element(seconds.begin(), seconds.begin() + kSchedReps / 2,
+                   seconds.end());
+  return seconds[kSchedReps / 2];
 }
 
 }  // namespace
@@ -180,8 +183,9 @@ int main(int argc, char** argv) {
                         fmtDouble(sched_seconds[pol], 4),
                         fmtDouble(sched_seconds[SchedPolicy::Static] /
                                       sched_seconds[pol], 2)});
-  std::printf("Triangular DOALL (iteration i costs O(i)), %u workers:\n%s\n",
-              kThreads, sched_table.render().c_str());
+  std::printf("Triangular DOALL (iteration i costs O(i)), %u workers, "
+              "median of %d runs:\n%s\n",
+              kThreads, kSchedReps, sched_table.render().c_str());
 
   const double best_balanced = std::min(sched_seconds[SchedPolicy::Guided],
                                         sched_seconds[SchedPolicy::Steal]);

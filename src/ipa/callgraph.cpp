@@ -129,8 +129,20 @@ const std::vector<const ProcDecl*>& CallGraph::sccMembers(size_t scc) const {
 
 std::vector<const ProcDecl*> CallGraph::bottomUpOrder() const {
   std::vector<const ProcDecl*> out;
-  for (const auto& members : scc_members_)
-    out.insert(out.end(), members.begin(), members.end());
+  std::set<const ProcDecl*> done;
+  // Every pass emits at least the lowest-id SCC not yet emitted, whose
+  // outside callees all sit in lower (already emitted) SCCs.
+  while (out.size() < procs_.size()) {
+    for (const ProcDecl* p : procs_) {
+      if (done.count(p)) continue;
+      bool ready = true;
+      for (const ProcDecl* c : callees_.at(p))
+        if (sccOf(c) != sccOf(p) && !done.count(c)) ready = false;
+      if (!ready) continue;
+      out.push_back(p);
+      done.insert(p);
+    }
+  }
   return out;
 }
 

@@ -1,4 +1,7 @@
-// Interprocedural call graph over the MF AST.
+// Interprocedural call graph over the MF AST — the program's only one.
+// Sema's recursion check, the analysis's bottom-up procedure order, the
+// value-range pass's top-down order and the incremental engine all read
+// it.
 //
 // Nodes are procedures (in Program::procs order), edges are call sites
 // (CallStmt::callee_proc; builtin sink() calls have no callee and add no
@@ -32,7 +35,8 @@ namespace padfa::ipa {
 
 class CallGraph {
  public:
-  /// Build from an analyzed program (Sema must have succeeded).
+  /// Build from a program whose calls are resolved (Sema's recursion
+  /// check builds one before it has accepted the program).
   static CallGraph build(const Program& program);
 
   /// All procedures, in Program::procs order.
@@ -53,9 +57,11 @@ class CallGraph {
   /// Members of one SCC, in program order.
   const std::vector<const ProcDecl*>& sccMembers(size_t scc) const;
 
-  /// Procedures in callee-before-caller order (SCC members grouped,
-  /// program order inside an SCC). With an acyclic graph this is a
-  /// topological order compatible with sema's bottomUpProcOrder().
+  /// Procedures in callee-before-caller order: repeated passes in
+  /// program order, each emitting a procedure once every callee outside
+  /// its own SCC has been emitted. This is the order the analysis
+  /// summarizes procedures in, so it also fixes the order VarIds are
+  /// assigned and the prefix a governed budget degrades.
   std::vector<const ProcDecl*> bottomUpOrder() const;
 
   /// Procedures reachable from `entry` through call edges, including

@@ -1,110 +1,32 @@
 #include "ir/region.h"
 
-#include <functional>
-
 namespace padfa {
 
-namespace {
-
-struct Builder {
-  LoopTree& tree;
-  std::vector<std::unique_ptr<LoopNode>>& nodes;
-  std::map<const ForStmt*, LoopNode*>& by_stmt;
-
-  // Returns (contains_call, contains_sink, stmt_count) of the block.
-  struct Facts {
-    bool call = false;
-    bool sink = false;
-    size_t stmts = 0;
-  };
-
-  Facts walkBlock(const BlockStmt& block, const ProcDecl* proc,
-                  LoopNode* enclosing) {
-    Facts f;
-    for (const auto& s : block.stmts) {
-      Facts sf = walkStmt(*s, proc, enclosing);
-      f.call |= sf.call;
-      f.sink |= sf.sink;
-      f.stmts += sf.stmts;
-    }
-    return f;
-  }
-
-  Facts walkStmt(const Stmt& s, const ProcDecl* proc, LoopNode* enclosing) {
-    Facts f;
-    f.stmts = 1;
-    switch (s.kind) {
+void LoopTree::walkBlock(const BlockStmt& block, const ProcDecl* proc,
+                         LoopNode* enclosing) {
+  for (const auto& s : block.stmts) {
+    switch (s->kind) {
       case StmtKind::For: {
-        const auto& loop = static_cast<const ForStmt&>(s);
+        const auto& loop = static_cast<const ForStmt&>(*s);
         auto node = std::make_unique<LoopNode>();
         node->loop = &loop;
         node->proc = proc;
         node->parent = enclosing;
         node->depth = enclosing ? enclosing->depth + 1 : 0;
         LoopNode* raw = node.get();
-        if (enclosing) enclosing->children.push_back(raw);
-        by_stmt[&loop] = raw;
-        nodes.push_back(std::move(node));
-        Facts bf = walkBlock(*loop.body, proc, raw);
-        raw->contains_call = bf.call;
-        raw->contains_sink = bf.sink;
-        raw->body_stmt_count = bf.stmts;
-        f.call |= bf.call;
-        f.sink |= bf.sink;
-        f.stmts += bf.stmts;
+        by_stmt_[&loop] = raw;
+        nodes_.push_back(std::move(node));
+        walkBlock(*loop.body, proc, raw);
         break;
       }
       case StmtKind::If: {
-        const auto& ifs = static_cast<const IfStmt&>(s);
-        Facts tf = walkBlock(*ifs.then_block, proc, enclosing);
-        f.call |= tf.call;
-        f.sink |= tf.sink;
-        f.stmts += tf.stmts;
-        if (ifs.else_block) {
-          Facts ef = walkBlock(*ifs.else_block, proc, enclosing);
-          f.call |= ef.call;
-          f.sink |= ef.sink;
-          f.stmts += ef.stmts;
-        }
-        break;
-      }
-      case StmtKind::Call: {
-        const auto& c = static_cast<const CallStmt&>(s);
-        f.call = c.callee_proc != nullptr;
-        f.sink = c.is_sink;
+        const auto& ifs = static_cast<const IfStmt&>(*s);
+        walkBlock(*ifs.then_block, proc, enclosing);
+        if (ifs.else_block) walkBlock(*ifs.else_block, proc, enclosing);
         break;
       }
       case StmtKind::Block:
-        f = walkBlock(static_cast<const BlockStmt&>(s), proc, enclosing);
-        break;
-      default:
-        break;
-    }
-    return f;
-  }
-};
-
-void collectCallees(const BlockStmt& block,
-                    std::vector<const ProcDecl*>& out, bool& sink) {
-  for (const auto& s : block.stmts) {
-    switch (s->kind) {
-      case StmtKind::Call: {
-        const auto& c = static_cast<const CallStmt&>(*s);
-        if (c.callee_proc) out.push_back(c.callee_proc);
-        if (c.is_sink) sink = true;
-        break;
-      }
-      case StmtKind::If: {
-        const auto& i = static_cast<const IfStmt&>(*s);
-        collectCallees(*i.then_block, out, sink);
-        if (i.else_block) collectCallees(*i.else_block, out, sink);
-        break;
-      }
-      case StmtKind::For:
-        collectCallees(*static_cast<const ForStmt&>(*s).body, out, sink);
-        break;
-      case StmtKind::Block:
-        collectCallees(static_cast<const BlockStmt&>(*s), out, sink);
+        walkBlock(static_cast<const BlockStmt&>(*s), proc, enclosing);
         break;
       default:
         break;
@@ -112,48 +34,9 @@ void collectCallees(const BlockStmt& block,
   }
 }
 
-}  // namespace
-
 LoopTree LoopTree::build(const Program& program) {
   LoopTree tree;
-  Builder b{tree, tree.nodes_, tree.by_stmt_};
-  for (const auto& p : program.procs) {
-    b.walkBlock(*p->body, p.get(), nullptr);
-    bool direct_sink = false;
-    std::vector<const ProcDecl*> callees;
-    collectCallees(*p->body, callees, direct_sink);
-    tree.call_graph_[p.get()] = std::move(callees);
-    tree.proc_has_sink_[p.get()] = direct_sink;
-  }
-  // Propagate sink through the (acyclic) call graph to a fixed point.
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (const auto& [proc, callees] : tree.call_graph_) {
-      if (tree.proc_has_sink_[proc]) continue;
-      for (const ProcDecl* c : callees) {
-        if (tree.proc_has_sink_[c]) {
-          tree.proc_has_sink_[proc] = true;
-          changed = true;
-          break;
-        }
-      }
-    }
-  }
-  // Mark loops containing calls to sink-bearing procedures.
-  for (auto& n : tree.nodes_) {
-    if (n->contains_sink) continue;
-    // Re-scan the loop body for calls whose target transitively sinks.
-    std::vector<const ProcDecl*> callees;
-    bool direct = false;
-    collectCallees(*n->loop->body, callees, direct);
-    for (const ProcDecl* c : callees) {
-      if (tree.proc_has_sink_.count(c) && tree.proc_has_sink_.at(c)) {
-        n->contains_sink = true;
-        break;
-      }
-    }
-  }
+  for (const auto& p : program.procs) tree.walkBlock(*p->body, p.get(), nullptr);
   return tree;
 }
 

@@ -3,14 +3,12 @@
 // The paper's hierarchical "region graph" has nodes for basic blocks, loop
 // bodies, loops, procedure calls, and procedure bodies. MF's AST is
 // already structured, so regions map 1:1 onto AST nodes; this module
-// materializes the loop tree (loops with nesting and per-loop metadata)
-// and the call graph that drive both the interprocedural analysis order
-// and the evaluation tables.
+// materializes the loop tree (loops with nesting) that drives the
+// evaluation tables. The call graph lives in ipa/callgraph.h.
 #pragma once
 
 #include <map>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "lang/ast.h"
@@ -21,46 +19,27 @@ struct LoopNode {
   const ForStmt* loop = nullptr;
   const ProcDecl* proc = nullptr;
   LoopNode* parent = nullptr;  // enclosing loop in the same procedure
-  std::vector<LoopNode*> children;
   int depth = 0;  // 0 = outermost in its procedure
-  bool contains_call = false;
-  bool contains_sink = false;
-  /// Statements (transitively) in the body, for size metrics.
-  size_t body_stmt_count = 0;
 };
 
-/// Loop forest of a whole program plus call-graph info.
+/// Loop forest of a whole program.
 class LoopTree {
  public:
   /// Build from an analyzed program (Sema must have run).
   static LoopTree build(const Program& program);
 
-  const std::vector<std::unique_ptr<LoopNode>>& nodes() const {
-    return nodes_;
-  }
   /// All loops in source order per procedure, outer loops first.
   std::vector<const LoopNode*> allLoops() const;
   const LoopNode* nodeFor(const ForStmt* loop) const;
 
-  /// Direct callees of each procedure.
-  const std::map<const ProcDecl*, std::vector<const ProcDecl*>>& callGraph()
-      const {
-    return call_graph_;
-  }
-
-  /// Does `proc` (transitively) contain a sink() call?
-  bool procHasSink(const ProcDecl* proc) const {
-    auto it = proc_has_sink_.find(proc);
-    return it != proc_has_sink_.end() && it->second;
-  }
-
   size_t loopCount() const { return nodes_.size(); }
 
  private:
+  void walkBlock(const BlockStmt& block, const ProcDecl* proc,
+                 LoopNode* enclosing);
+
   std::vector<std::unique_ptr<LoopNode>> nodes_;
   std::map<const ForStmt*, LoopNode*> by_stmt_;
-  std::map<const ProcDecl*, std::vector<const ProcDecl*>> call_graph_;
-  std::map<const ProcDecl*, bool> proc_has_sink_;
 };
 
 }  // namespace padfa

@@ -1,8 +1,9 @@
 #include "lang/sema.h"
 
 #include <map>
-#include <set>
 #include <vector>
+
+#include "ipa/callgraph.h"
 
 namespace padfa {
 
@@ -376,68 +377,14 @@ class Sema {
   }
 
   void checkCallGraph() {
-    // DFS for cycles over resolved call edges.
-    enum class Mark { White, Gray, Black };
-    std::map<const ProcDecl*, Mark> mark;
-    std::vector<std::pair<const ProcDecl*, size_t>> stack;
-    std::map<const ProcDecl*, std::vector<const ProcDecl*>> edges;
-    for (auto& p : program_.procs) {
-      std::vector<const ProcDecl*>& out = edges[p.get()];
-      collectCalls(*p->body, out);
-    }
-    for (auto& p : program_.procs) {
-      if (mark[p.get()] != Mark::White) continue;
-      // Iterative DFS.
-      stack.push_back({p.get(), 0});
-      mark[p.get()] = Mark::Gray;
-      while (!stack.empty()) {
-        auto& [node, idx] = stack.back();
-        auto& outs = edges[node];
-        if (idx < outs.size()) {
-          const ProcDecl* next = outs[idx++];
-          if (mark[next] == Mark::Gray) {
-            diags_.error(next->loc,
-                         "recursive call cycle involving procedure '" +
-                             std::string(name(next->name)) +
-                             "' (MF forbids recursion)");
-            return;
-          }
-          if (mark[next] == Mark::White) {
-            mark[next] = Mark::Gray;
-            stack.push_back({next, 0});
-          }
-        } else {
-          mark[node] = Mark::Black;
-          stack.pop_back();
-        }
-      }
-    }
-  }
-
-  void collectCalls(const BlockStmt& block,
-                    std::vector<const ProcDecl*>& out) {
-    for (const auto& s : block.stmts) {
-      switch (s->kind) {
-        case StmtKind::Call: {
-          const auto& c = static_cast<const CallStmt&>(*s);
-          if (c.callee_proc) out.push_back(c.callee_proc);
-          break;
-        }
-        case StmtKind::If: {
-          const auto& i = static_cast<const IfStmt&>(*s);
-          collectCalls(*i.then_block, out);
-          if (i.else_block) collectCalls(*i.else_block, out);
-          break;
-        }
-        case StmtKind::For:
-          collectCalls(*static_cast<const ForStmt&>(*s).body, out);
-          break;
-        case StmtKind::Block:
-          collectCalls(static_cast<const BlockStmt&>(*s), out);
-          break;
-        default:
-          break;
-      }
+    ipa::CallGraph cg = ipa::CallGraph::build(program_);
+    for (const ProcDecl* p : cg.procs()) {
+      if (cg.sccMembers(cg.sccOf(p)).size() == 1 && !cg.callSites(p, p))
+        continue;
+      diags_.error(p->loc, "recursive call cycle involving procedure '" +
+                               std::string(name(p->name)) +
+                               "' (MF forbids recursion)");
+      return;
     }
   }
 
@@ -450,66 +397,11 @@ class Sema {
   uint32_t next_uid_ = 1;  // 0 stays "never declared"
 };
 
-void collectCallsOf(const BlockStmt& block, std::set<const ProcDecl*>& out) {
-  for (const auto& s : block.stmts) {
-    switch (s->kind) {
-      case StmtKind::Call: {
-        const auto& c = static_cast<const CallStmt&>(*s);
-        if (c.callee_proc) out.insert(c.callee_proc);
-        break;
-      }
-      case StmtKind::If: {
-        const auto& i = static_cast<const IfStmt&>(*s);
-        collectCallsOf(*i.then_block, out);
-        if (i.else_block) collectCallsOf(*i.else_block, out);
-        break;
-      }
-      case StmtKind::For:
-        collectCallsOf(*static_cast<const ForStmt&>(*s).body, out);
-        break;
-      case StmtKind::Block:
-        collectCallsOf(static_cast<const BlockStmt&>(*s), out);
-        break;
-      default:
-        break;
-    }
-  }
-}
-
 }  // namespace
 
 bool analyze(Program& program, DiagEngine& diags) {
   Sema sema(program, diags);
   return sema.run();
-}
-
-std::vector<ProcDecl*> bottomUpProcOrder(Program& program) {
-  // Topological sort with callees first (call graph is acyclic by Sema).
-  std::vector<ProcDecl*> order;
-  std::set<const ProcDecl*> done;
-  // Simple repeated passes (procedure counts are small).
-  while (order.size() < program.procs.size()) {
-    bool progressed = false;
-    for (auto& p : program.procs) {
-      if (done.count(p.get())) continue;
-      std::set<const ProcDecl*> callees;
-      collectCallsOf(*p->body, callees);
-      bool ready = true;
-      for (const ProcDecl* c : callees) {
-        if (c != p.get() && !done.count(c)) {
-          ready = false;
-          break;
-        }
-      }
-      if (ready) {
-        order.push_back(p.get());
-        done.insert(p.get());
-        progressed = true;
-      }
-    }
-    if (!progressed) break;  // defensive: cycle (should be rejected by Sema)
-  }
-  return order;
 }
 
 }  // namespace padfa

@@ -16,8 +16,4 @@ namespace padfa {
 ///  * the call graph is acyclic.
 bool analyze(Program& program, DiagEngine& diags);
 
-/// Procedures in reverse topological (callee-before-caller) order.
-/// Precondition: analyze() succeeded.
-std::vector<ProcDecl*> bottomUpProcOrder(Program& program);
-
 }  // namespace padfa

@@ -1,17 +1,18 @@
-// Process-wide performance counters for the memoization layer.
+// Process-wide performance counters.
 //
-// Every cache in the engine (Presburger feasibility, predicate
-// implies/simplify, interprocedural translated summaries) reports its
-// hit/miss/insert traffic through one of the named CacheStats instances
-// below so benches and tests can print and assert cache effectiveness.
-// Counters are atomic (relaxed): they are telemetry, never control flow,
-// so cross-thread ordering is irrelevant — only totals matter.
+// The engine's one result cache, the Presburger feasibility cache,
+// reports its hit/miss/insert traffic through PerfStats::feasibility so
+// benches and tests can print and assert cache effectiveness; the
+// incremental and value-range counters sit beside it. Counters are
+// atomic (relaxed): they are telemetry, never control flow, so
+// cross-thread ordering is irrelevant — only totals matter.
 //
 // Cache enablement is a process-wide switch: the PADFA_NO_CACHE
-// environment variable (any non-empty value) disables every cache, and
+// environment variable (any non-empty value) disables the feasibility
+// cache, the daemon's warm answers and incremental replay, and
 // setCachesEnabled() overrides the environment programmatically (used by
 // the cache-coherence test to compare cached vs uncached plans in one
-// process). Caches are additionally bypassed per-call-site whenever a
+// process). The feasibility cache is additionally bypassed whenever a
 // *governed* AnalysisBudget is installed (finite limits or a fault
 // injector): budget charging is part of the observable degradation
 // contract, and a cache hit that skips charge points would let a starved
@@ -99,12 +100,13 @@ struct VraCounters {
   }
 };
 
-/// The process-wide counter set, one CacheStats per engine cache.
+/// The process-wide counter set.
 struct PerfStats {
   CacheStats feasibility;  ///< pb::System::feasible() memo
-  CacheStats implies;      ///< Pred::implies pair memo
-  CacheStats simplify;     ///< Pred::simplify memo
-  CacheStats summary;      ///< translated callee-summary memo
+  // No cache feeds these; they stay (always 0) because perfbench reads them.
+  CacheStats implies;
+  CacheStats simplify;
+  CacheStats summary;
   IncrementalCounters incremental;  ///< change-impact replay path
   VraCounters vra;                  ///< value-range analysis + clients
 
@@ -112,9 +114,6 @@ struct PerfStats {
 
   void resetAll() {
     feasibility.reset();
-    implies.reset();
-    simplify.reset();
-    summary.reset();
     incremental.reset();
     vra.reset();
   }
@@ -128,8 +127,8 @@ struct PerfStats {
 /// response share.
 JsonValue cacheStatsToJson(const CacheStats& s);
 
-/// Object keyed by cache name ("feasibility", "implies", "simplify",
-/// "summary"), each a cacheStatsToJson() entry.
+/// Object keyed by cache name ("feasibility"), each a cacheStatsToJson()
+/// entry.
 JsonValue perfStatsToJson(const PerfStats& stats);
 
 /// {"runs":..,"procs_analyzed":..,"procs_replayed":..,
@@ -142,7 +141,7 @@ JsonValue incrementalCountersToJson(const IncrementalCounters& c);
 /// by bench/fig_vra.cpp.
 JsonValue vraCountersToJson(const VraCounters& c);
 
-/// Whether the memoization layer is active. Defaults to the environment
+/// Whether caching is active. Defaults to the environment
 /// (PADFA_NO_CACHE unset/empty => enabled); a setCachesEnabled() call
 /// takes precedence over the environment for the rest of the process.
 bool cachesEnabled();

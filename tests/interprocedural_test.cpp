@@ -246,6 +246,30 @@ proc main() {
   EXPECT_EQ(predStatusAt(cp, 5), LoopStatus::NotCandidate);
 }
 
+TEST(Interproc, TransitiveCalleeSinkMakesLoopNotCandidate) {
+  // The sink sits two calls below the first loop (main -> mid -> report
+  // -> sink), so it reaches the loop only through mid's summary. The
+  // second loop's two-level chain never sinks and stays a candidate.
+  auto cp = compileOk(R"(
+proc report(real x) { sink(x); }
+proc mid(real x) { report(x); }
+proc leaf(real v[4]) { v[0] = 1.0; }
+proc wrap(real v[4]) { leaf(v); }
+proc main() {
+  real a[10];
+  real b[4];
+  for i = 0 to 9 {
+    a[i] = noise(i);
+    mid(a[i]);
+  }
+  for i = 0 to 3 { wrap(b); }
+}
+)");
+  EXPECT_EQ(baseStatusAt(cp, 9), LoopStatus::NotCandidate);
+  EXPECT_EQ(predStatusAt(cp, 9), LoopStatus::NotCandidate);
+  EXPECT_NE(predStatusAt(cp, 13), LoopStatus::NotCandidate);
+}
+
 TEST(Interproc, ExecutionMatchesAcrossAllCases) {
   // Each scenario above must also run correctly under the derived plans.
   const char* src = R"(

@@ -115,6 +115,55 @@ TEST(CallGraph, DiamondStructure) {
             (std::set<const ProcDecl*>{main_p}));
 }
 
+// main calls p1, which is declared after it; p2 is never called. The
+// analysis order is the program-order pass rule (p1, p2, main), not a
+// DFS post-order (p1, main, p2). VarIds are assigned in this order, so
+// the plan signature below, VRA promotion included, pins it too.
+const char* kForwardCall = R"(proc main() {
+  real x[192];
+  for j = 0 to 191 {
+    x[j] = noise(j);
+  }
+  p1(x, inoise(5, 1) + 64);
+  sink(x[100]);
+}
+proc p1(real x[192], int d) {
+  for i = 64 to 127 {
+    x[i] = x[i - d] * 0.5;
+  }
+}
+proc p2(real y[n], int n, int k) {
+  for i = 0 to n - 1 {
+    y[i] = y[i + k] + 1.0;
+  }
+}
+)";
+
+const char* kForwardCallSignature = R"sig(main/L3 outcome=base-parallel
+  base: parallel test=T degraded=0: reason= priv=[] ps=[] co=[] red=[] syncs=[] flags=.....
+  pred: parallel test=T degraded=0: reason= priv=[] ps=[] co=[] red=[] syncs=[] flags=.....
+p1/L10 outcome=pred-parallel-ct
+  base: sequential test=T degraded=0: reason=loop-carried dependence on array 'x' priv=[] ps=[] co=[] red=[] syncs=[] flags=.....
+  pred: parallel test=(&(|A!le(i0,b0(b2(i-1,v6.1#4),i-1));A!le(i0,b0(v6.1#4,i63)););(|A!le(i0,b0(b2(i-1,v6.1#4),i63));A!le(i0,b0(v6.1#4,i-1)););) degraded=0: reason= priv=[] ps=[] co=[] red=[] syncs=[] flags=..X.. vra=promoted-parallel
+p2/L15 outcome=pred-parallel-rt
+  base: sequential test=T degraded=0: reason=loop-carried dependence on array 'y' priv=[] ps=[] co=[] red=[] syncs=[] flags=.....
+  pred: runtime-test test=(&(|A!le(i0,b0(b0(v10.1#7,b2(i-1,v11.2#8)),i-1));A!le(i0,b0(b0(v10.1#7,v11.2#8),i-1));A!le(i0,b0(b2(i-1,v11.2#8),i-1));A!le(i0,b0(v10.1#7,i-1)););(|A!le(i0,b0(b0(v10.1#7,b2(i-1,v11.2#8)),i-1));A!le(i0,b0(b0(v10.1#7,v11.2#8),i-1));A!le(i0,b0(v10.1#7,i-1));A!le(i0,b0(v11.2#8,i-1)););) degraded=0: reason= priv=[] ps=[] co=[] red=[] syncs=[] flags=..X..
+base degraded_globally=0 causes=[]
+pred degraded_globally=0 causes=[]
+)sig";
+
+TEST(CallGraph, BottomUpOrderIsTheAnalysisOrder) {
+  auto cp = compile(kForwardCall);
+  ASSERT_TRUE(cp);
+  const Program& prog = *cp->program;
+  ipa::CallGraph cg = ipa::CallGraph::build(prog);
+  EXPECT_EQ(cg.bottomUpOrder(),
+            (std::vector<const ProcDecl*>{procNamed(prog, "p1"),
+                                          procNamed(prog, "p2"),
+                                          procNamed(prog, "main")}));
+  EXPECT_EQ(planSignature(*cp), kForwardCallSignature);
+}
+
 TEST(Fingerprint, InsensitiveToCommentsWhitespaceAndDeclPosition) {
   auto cp1 = compile(kDiamond);
   ASSERT_TRUE(cp1);

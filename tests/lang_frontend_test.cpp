@@ -264,18 +264,6 @@ TEST(Sema, RejectsWholeArrayInExpression) {
   EXPECT_NE(err.find("whole array"), std::string::npos) << err;
 }
 
-TEST(Sema, BottomUpOrderPutsCalleesFirst) {
-  auto p = analyzeOk(R"(
-    proc leaf(int n) { int x; x = n; }
-    proc mid(int n) { leaf(n); }
-    proc main() { mid(3); }
-  )");
-  auto order = bottomUpProcOrder(*p);
-  ASSERT_EQ(order.size(), 3u);
-  EXPECT_EQ(p->interner.str(order[0]->name), "leaf");
-  EXPECT_EQ(p->interner.str(order[2]->name), "main");
-}
-
 TEST(Sema, ExprToStringRoundTrips) {
   auto p = analyzeOk("proc main() { int x; x = (1 + 2) * 3; }");
   auto& assign = static_cast<AssignStmt&>(*p->procs[0]->body->stmts[0]);

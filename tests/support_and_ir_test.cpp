@@ -115,33 +115,6 @@ proc main() {
   EXPECT_EQ(depth1, 1);
 }
 
-TEST(LoopTree, CallAndSinkFlags) {
-  auto p = compile(R"(
-proc helper(real v[4]) { v[0] = 1.0; }
-proc noisy() { real x; x = 2.0; sink(x); }
-proc main() {
-  real a[4];
-  for i = 0 to 3 { helper(a); }
-  for i = 0 to 3 { noisy(); }
-  for i = 0 to 3 { a[i] = 0.0; }
-}
-)");
-  LoopTree tree = LoopTree::build(*p);
-  ASSERT_EQ(tree.loopCount(), 3u);
-  auto loops = tree.allLoops();
-  // Loops appear in build order (per procedure, source order).
-  const LoopNode* call_loop = loops[0];
-  const LoopNode* sink_loop = loops[1];
-  const LoopNode* plain_loop = loops[2];
-  EXPECT_TRUE(call_loop->contains_call);
-  EXPECT_FALSE(call_loop->contains_sink);
-  EXPECT_TRUE(sink_loop->contains_sink);  // via transitive callee
-  EXPECT_FALSE(plain_loop->contains_call);
-  EXPECT_TRUE(tree.procHasSink(p->findProc("noisy")));
-  EXPECT_FALSE(tree.procHasSink(p->findProc("helper")));
-  EXPECT_TRUE(tree.procHasSink(p->findProc("main")));
-}
-
 TEST(LoopTree, NodeForLookup) {
   auto p = compile(R"(
 proc main() {
@@ -154,20 +127,6 @@ proc main() {
   ASSERT_EQ(loops.size(), 1u);
   EXPECT_EQ(tree.nodeFor(loops[0]->loop), loops[0]);
   EXPECT_EQ(tree.nodeFor(nullptr), nullptr);
-}
-
-TEST(LoopTree, BodyStmtCounts) {
-  auto p = compile(R"(
-proc main() {
-  real a[4];
-  for i = 0 to 3 {
-    a[i] = 1.0;
-    if (i > 1) { a[0] = 2.0; }
-  }
-}
-)");
-  LoopTree tree = LoopTree::build(*p);
-  EXPECT_GE(tree.allLoops()[0]->body_stmt_count, 3u);
 }
 
 }  // namespace
