@@ -56,14 +56,17 @@ class Analyzer {
       // loaded from the store instead of recomputed. The load callback
       // recreates the summary's VarIds in vt_ in cold-run order, so the
       // ids handed to later (re-analyzed) procedures line up with a cold
-      // run of the same source. Replayed procedures get no plans here —
-      // the incremental driver merges the persisted plans — so
-      // degradeUnplannedLoops must not touch their loops.
+      // run of the same source. The persisted plans of a replayed
+      // procedure stand in for analysis, so degradeUnplannedLoops must
+      // not touch its loops.
       bool replayed = false;
       if (!degrade_rest_ && cfg_.preload && cfg_.preload->replay.count(proc)) {
         RegionSummary s;
-        if (cfg_.preload->load(proc, vt_, s)) {
+        std::vector<LoopPlan> plans;
+        if (cfg_.preload->load(proc, vt_, s, plans)) {
           proc_summaries_[proc] = std::move(s);
+          for (LoopPlan& plan : plans)
+            result_.plans[plan.loop] = std::move(plan);
           if (cfg_.preload->replayed) cfg_.preload->replayed->insert(proc);
           replayed = true;
         }
@@ -89,7 +92,7 @@ class Analyzer {
       if (!replayed) degradeUnplannedLoops(*proc->body);
     }
 
-    if (cfg_.export_summaries) {
+    if (cfg_.preload) {
       result_.proc_summaries = std::move(proc_summaries_);
       result_.vars.decls.resize(vt_.size());
       for (pb::VarId v = 0; v < vt_.size(); ++v) {
@@ -498,9 +501,6 @@ class Analyzer {
     for (size_t i = 0; i < s.args.size(); ++i) {
       if (!params[i]->isArray()) collectReads(*s.args[i], out);
     }
-    // Summary-dependence relation: this procedure's analysis consumes the
-    // callee's summary (change-impact analysis invalidates accordingly).
-    result_.summary_deps[cur_proc_].insert(s.callee_proc);
     translateCallee(*s.callee_proc, s, out);
     return out;
   }

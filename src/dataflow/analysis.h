@@ -20,17 +20,19 @@
 namespace padfa {
 
 /// Replay hook for incremental re-analysis (ipa/incremental.h). When
-/// installed, a procedure in `replay` is not analyzed: its finalized
-/// summary comes from `load`, which must recreate the summary's VarIds in
-/// the analyzer's VarTable in cold-run creation order (the deep codec's
-/// variable preamble does this). Loops of a successfully replayed
-/// procedure receive no plans from the analyzer — the caller merges the
-/// persisted plans afterwards. A `load` failure falls back to full
-/// analysis of that procedure, so replay is never load-bearing for
-/// soundness, only for speed.
+/// installed, a procedure in `replay` is not analyzed: `load` supplies
+/// its finalized summary and the plans of its loops. `load` must recreate
+/// the summary's VarIds in the analyzer's VarTable in cold-run creation
+/// order (the deep codec's variable preamble does this). A `load` failure
+/// falls back to full analysis of that procedure, so replay is never
+/// load-bearing for soundness, only for speed. An analysis with a preload
+/// also exports its finalized summaries and VarTable view
+/// (AnalysisResult::proc_summaries/vars) so the store can persist them.
 struct SummaryPreload {
   std::set<const ProcDecl*> replay;
-  std::function<bool(const ProcDecl*, VarTable&, RegionSummary&)> load;
+  std::function<bool(const ProcDecl*, VarTable&, RegionSummary&,
+                     std::vector<LoopPlan>&)>
+      load;
   /// Out-param: the procedures whose summaries actually replayed.
   std::set<const ProcDecl*>* replayed = nullptr;
 };
@@ -64,11 +66,6 @@ struct AnalysisConfig {
   /// Optional summary-replay hook (see SummaryPreload). Not owned; must
   /// outlive the analyzeProgram() call.
   const SummaryPreload* preload = nullptr;
-  /// Export finalized per-procedure summaries and the VarTable view into
-  /// AnalysisResult (proc_summaries/vars) so the store can serialize
-  /// them. Off by default: the export copies nothing but keeps the
-  /// summaries alive past the analysis.
-  bool export_summaries = false;
 
   static AnalysisConfig baseline() {
     return {false, false, false, false, false};

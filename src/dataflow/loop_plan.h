@@ -3,7 +3,6 @@
 #pragma once
 
 #include <map>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -138,8 +137,8 @@ struct LoopPlan {
 };
 
 /// VarId-indexed view of the analyzer's VarTable, exported for the deep
-/// summary codec (store/deep_codec.h) when
-/// AnalysisConfig::export_summaries is set.
+/// summary codec (store/deep_codec.h) when the analysis has a
+/// SummaryPreload (AnalysisConfig::preload).
 struct ExportedVarTable {
   /// VarId -> program decl; null for subscript dims and synthetic vars.
   std::vector<const VarDecl*> decls;
@@ -155,14 +154,8 @@ struct AnalysisResult {
   /// Wall-clock cost of the analysis itself (Experiment E6).
   double analysis_seconds = 0;
 
-  /// Which callee summaries each procedure's analysis consumed (one entry
-  /// per non-sink call target, deduplicated). Always recorded — it is a
-  /// set insert per call statement — and consumed by the ipa layer
-  /// (change-impact consistency checks, `mfc deps --callgraph`).
-  std::map<const ProcDecl*, std::set<const ProcDecl*>> summary_deps;
-
   /// Finalized per-procedure summaries + the VarTable view needed to
-  /// serialize them; filled only when AnalysisConfig::export_summaries.
+  /// serialize them; filled only when AnalysisConfig::preload is set.
   std::map<const ProcDecl*, RegionSummary> proc_summaries;
   ExportedVarTable vars;
 

@@ -12,13 +12,9 @@
 namespace padfa {
 
 std::optional<CompiledProgram> compileSource(const std::string& source,
-                                             DiagEngine& diags) {
-  return compileSource(source, diags, BudgetLimits::defaults());
-}
-
-std::optional<CompiledProgram> compileSource(const std::string& source,
                                              DiagEngine& diags,
-                                             const BudgetLimits& budget) {
+                                             const BudgetLimits& budget,
+                                             ReplayHook* replay) {
   auto program = parseProgram(source, diags);
   if (!program) return std::nullopt;
   if (!analyze(*program, diags)) return std::nullopt;
@@ -34,6 +30,12 @@ std::optional<CompiledProgram> compileSource(const std::string& source,
   base_cfg.budget = budget;
   AnalysisConfig pred_cfg = AnalysisConfig::predicated();
   pred_cfg.budget = budget;
+  SummaryPreload base_preload, pred_preload;
+  if (replay) {
+    replay->install(prog, base_preload, pred_preload);
+    base_cfg.preload = &base_preload;
+    pred_cfg.preload = &pred_preload;
+  }
   std::future<AnalysisResult> base_fut = analysisPool().submit(
       [&prog, base_cfg] { return analyzeProgram(prog, base_cfg); });
   cp.pred = analyzeProgram(prog, pred_cfg);
@@ -52,13 +54,15 @@ std::optional<CompiledProgram> compileSource(const std::string& source,
     pplan.degraded = true;
     pplan.degrade_cause = std::move(cause);
   }
-  // Doacross upgrade + value-range promotion: run last (after the ladder,
-  // and in the incremental path after persistence) so stored plans are
-  // always pre-upgrade and warm replays stay byte-identical — see
-  // dataflow/doacross.h and dataflow/vra_promote.h. Value ranges are
-  // skipped under a governed budget: plans may then be degraded
-  // fallbacks, and refinement of a degraded run must stay inert so the
-  // degradation ladder's output is the final word.
+  cp.program = std::move(program);
+  if (replay) replay->persist(cp);
+  // Doacross upgrade + value-range promotion: run last (after the ladder
+  // and after persistence) so stored plans are always pre-upgrade and
+  // warm replays stay byte-identical — see dataflow/doacross.h and
+  // dataflow/vra_promote.h. Value ranges are skipped under a governed
+  // budget: plans may then be degraded fallbacks, and refinement of a
+  // degraded run must stay inert so the degradation ladder's output is
+  // the final word.
   std::unique_ptr<vra::RangeAnalysis> ranges;
   if (!BudgetLimits::fromEnv(budget).governed() && vra::vraEnabled())
     ranges = std::make_unique<vra::RangeAnalysis>(prog);
@@ -66,7 +70,6 @@ std::optional<CompiledProgram> compileSource(const std::string& source,
       ranges && ranges->enabled() ? ranges.get() : nullptr;
   upgradeDoacrossPlans(prog, cp.pred, rp);
   if (rp) applyVraPromotions(prog, cp.pred, *rp);
-  cp.program = std::move(program);
   return cp;
 }
 

@@ -32,20 +32,34 @@ struct CompiledProgram {
   const Interner& interner() const { return program->interner; }
 };
 
-/// Parse + sema + both analyses. Returns nullopt and fills `diags` on
-/// frontend errors.
-std::optional<CompiledProgram> compileSource(const std::string& source,
-                                             DiagEngine& diags);
+/// Incremental replay for compileSource (implemented by
+/// ipa/incremental.h, which owns the store). compileSource calls
+/// `install` once after Sema, to fill the per-kind summary preloads, and
+/// `persist` once after the degradation ladder but before the
+/// Doacross/VRA refinement, so the store only ever sees pre-upgrade plans.
+class ReplayHook {
+ public:
+  virtual ~ReplayHook() = default;
+  virtual void install(const Program& program, SummaryPreload& base,
+                       SummaryPreload& pred) = 0;
+  virtual void persist(const CompiledProgram& cp) = 0;
+};
 
-/// Same, but with explicit budget limits applied to both analyses — the
-/// mfcd daemon's per-request deadline path. A governed budget degrades
-/// slow loops to sound Sequential/baseline plans instead of hanging the
-/// request (and bypasses the memoization caches, per the degradation
-/// contract in perf_stats.h). PADFA_BUDGET_* env overrides still apply
-/// on top of `budget`.
-std::optional<CompiledProgram> compileSource(const std::string& source,
-                                             DiagEngine& diags,
-                                             const BudgetLimits& budget);
+/// Parse + sema + both analyses + the degradation ladder + Doacross/VRA
+/// refinement: the one compile pipeline. Returns nullopt and fills
+/// `diags` on frontend errors.
+///
+/// `budget` applies to both analyses (the mfcd daemon's per-request
+/// deadline path). A governed budget degrades slow loops to sound
+/// Sequential/baseline plans instead of hanging the request (and
+/// bypasses the feasibility cache, per the degradation contract in
+/// perf_stats.h). PADFA_BUDGET_* env overrides still apply on top of
+/// `budget`. `replay`, when set, replays stored procedure summaries
+/// instead of analyzing them.
+std::optional<CompiledProgram> compileSource(
+    const std::string& source, DiagEngine& diags,
+    const BudgetLimits& budget = BudgetLimits::defaults(),
+    ReplayHook* replay = nullptr);
 
 /// Render the `mfc report` table (per loop: depth, base/predicated
 /// status, notes, plus the degradation trailer) to a string — shared by

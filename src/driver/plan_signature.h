@@ -10,11 +10,11 @@
 // warm, cached or uncached, served from the daemon or run in-process —
 // produce byte-equal signatures iff they produced the same plans.
 //
-// Consumers: the cache/thread coherence test, the persistent summary
-// store (per-procedure plan records are keyed by source content hash
-// and carry these bytes), the mfcd daemon (responses embed the
-// signature so clients can verify equivalence with a local run), and
-// the crash-recovery fault-injection suites.
+// Consumers: the cache/thread coherence test, the mfcd daemon (responses
+// embed the signature so clients can verify equivalence with a local
+// run, and its persistent store keeps one "signature" response per
+// source content hash, served back on warm hits), the PADFA_IPA_CHECK
+// replay tripwire, and the crash-recovery fault-injection suites.
 #pragma once
 
 #include <string>
@@ -28,15 +28,5 @@ void appendPlanSignature(std::string& out, const LoopPlan* plan);
 
 /// Whole-program signature: every loop in LoopTree order + telemetry.
 std::string planSignature(const CompiledProgram& cp);
-
-/// The per-procedure slice of planSignature(): only loops belonging to
-/// `proc`, without the program-level telemetry trailer. Concatenating
-/// the slices in Program::procs order and appending
-/// planTelemetrySignature() reconstitutes planSignature() exactly.
-std::string procPlanSignature(const CompiledProgram& cp,
-                              const ProcDecl* proc);
-
-/// The degradation-telemetry trailer of planSignature().
-std::string planTelemetrySignature(const CompiledProgram& cp);
 
 }  // namespace padfa

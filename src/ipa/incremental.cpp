@@ -5,12 +5,9 @@
 #include <map>
 #include <set>
 
-#include "dataflow/doacross.h"
-#include "dataflow/vra_promote.h"
 #include "driver/plan_signature.h"
 #include "ipa/callgraph.h"
 #include "ipa/fingerprint.h"
-#include "runtime/thread_pool.h"
 #include "store/deep_codec.h"
 #include "support/perf_stats.h"
 
@@ -18,94 +15,107 @@ namespace padfa::ipa {
 
 namespace {
 
-
 /// Replay state for one analysis kind (base or pred). The two kinds run
 /// concurrently over the same immutable Program; each KindState is
 /// written only during single-threaded setup and then read by exactly
 /// one analysis thread (plus its own `replayed` out-set).
 struct KindState {
-  uint8_t kind = store::kDeepKindBase;
-  /// Replay candidates: store bytes that decoded cleanly against the
-  /// fresh AST, plus the pre-decoded (rebound) plans.
+  /// Replay candidates: the store bytes of every procedure whose deep
+  /// fingerprint hit.
   std::map<const ProcDecl*, std::string> bytes;
-  std::map<const ProcDecl*, std::vector<LoopPlan>> plans;
   std::set<const ProcDecl*> replayed;
-  SummaryPreload preload;
 };
 
-/// Probe the store for every procedure under one kind; keep only records
-/// whose plan half decodes against the new AST (a decode failure is
-/// treated as a miss — the procedure just stays dirty).
-void prepareKind(KindState& st, uint8_t kind, const Program& program,
-                 const CallGraph& cg, const ProcFingerprints& fps,
-                 const store::SummaryStore& store, uint64_t& hits,
-                 uint64_t& misses) {
-  st.kind = kind;
-  for (const ProcDecl* proc : cg.procs()) {
-    auto rec = store.getDeepProc(fps.deep.at(proc), kind);
-    if (!rec) {
-      ++misses;
-      continue;
-    }
-    std::vector<LoopPlan> plans;
-    std::string err;
-    if (!store::decodeDeepProcPlans(program, *proc, *rec, plans, err)) {
-      ++misses;
-      continue;
-    }
-    ++hits;
-    st.bytes[proc] = std::move(*rec);
-    st.plans[proc] = std::move(plans);
+/// The store side of compileSource's replay hook: probe the store for
+/// every procedure's deep fingerprint after Sema, and persist fresh
+/// records after the degradation ladder.
+class StoreReplay final : public ReplayHook {
+ public:
+  explicit StoreReplay(store::SummaryStore& store) : store_(store) {}
+
+  void install(const Program& program, SummaryPreload& base,
+               SummaryPreload& pred) override {
+    cg_ = CallGraph::build(program);
+    fps_ = fingerprintProgram(program, cg_);
+    prepareKind(base_, store::kDeepKindBase, program, base);
+    prepareKind(pred_, store::kDeepKindPred, program, pred);
   }
-  for (const auto& [proc, bytes] : st.bytes) st.preload.replay.insert(proc);
-  st.preload.replayed = &st.replayed;
-  st.preload.load = [&program, &st](const ProcDecl* proc, VarTable& vt,
-                                    RegionSummary& out) {
-    std::string err;
-    return store::decodeDeepProcSummary(program, *proc, st.bytes.at(proc),
-                                        vt, out, err);
-  };
-}
 
-/// Insert the pre-decoded plans of every procedure that actually
-/// replayed (the analyzer leaves those loops plan-less).
-void mergeReplayedPlans(AnalysisResult& result, KindState& st) {
-  for (const ProcDecl* proc : st.replayed)
-    for (LoopPlan& plan : st.plans[proc])
-      result.plans[plan.loop] = std::move(plan);
-}
+  void persist(const CompiledProgram& cp) override {
+    persistKind(*cp.program, cp.base, store::kDeepKindBase);
+    persistKind(*cp.program, cp.pred, store::kDeepKindPred);
+  }
 
-/// Persist fresh records for procedures whose (deep_fp, kind) key is not
-/// in the store yet. encodeDeepProc is fail-soft: degraded or otherwise
-/// non-rebindable state is simply not persisted.
-void persistKind(const Program& program, const AnalysisResult& result,
-                 const CallGraph& cg, const ProcFingerprints& fps,
-                 uint8_t kind, store::SummaryStore& store) {
-  for (const ProcDecl* proc : cg.procs()) {
-    uint64_t fp = fps.deep.at(proc);
-    if (store.getDeepProc(fp, kind)) continue;
-    auto sit = result.proc_summaries.find(proc);
-    if (sit == result.proc_summaries.end()) continue;
-    store::DeepEncodeInput in;
-    in.program = &program;
-    in.proc = proc;
-    in.summary = &sit->second;
-    in.vars = &result.vars;
-    bool complete = true;
-    for (const ForStmt* loop : store::procLoopsInOrder(*proc)) {
-      const LoopPlan* plan = result.planFor(loop);
-      if (!plan) {
-        complete = false;
-        break;
+  const CallGraph& callGraph() const { return cg_; }
+  bool replayedBoth(const ProcDecl* proc) const {
+    return base_.replayed.count(proc) && pred_.replayed.count(proc);
+  }
+  uint64_t fp_hits = 0, fp_misses = 0;
+
+ private:
+  /// Probe the store for every procedure under one kind. A record that
+  /// then fails to decode against the new AST is not replayed — the
+  /// procedure just stays dirty.
+  void prepareKind(KindState& st, uint8_t kind, const Program& program,
+                   SummaryPreload& preload) {
+    for (const ProcDecl* proc : cg_.procs()) {
+      auto rec = store_.getDeepProc(fps_.deep.at(proc), kind);
+      if (!rec) {
+        ++fp_misses;
+        continue;
       }
-      in.plans.push_back(plan);
+      ++fp_hits;
+      st.bytes[proc] = std::move(*rec);
+      preload.replay.insert(proc);
     }
-    if (!complete) continue;
-    std::string bytes, err;
-    if (encodeDeepProc(in, bytes, err))
-      store.putDeepProc(fp, kind, std::move(bytes));
+    preload.replayed = &st.replayed;
+    preload.load = [&program, &st](const ProcDecl* proc, VarTable& vt,
+                                   RegionSummary& out,
+                                   std::vector<LoopPlan>& plans) {
+      const std::string& bytes = st.bytes.at(proc);
+      std::string err;
+      return store::decodeDeepProcPlans(program, *proc, bytes, plans, err) &&
+             store::decodeDeepProcSummary(program, *proc, bytes, vt, out,
+                                          err);
+    };
   }
-}
+
+  /// Persist fresh records for procedures whose (deep_fp, kind) key is
+  /// not in the store yet. encodeDeepProc is fail-soft: degraded or
+  /// otherwise non-rebindable state is simply not persisted.
+  void persistKind(const Program& program, const AnalysisResult& result,
+                   uint8_t kind) {
+    for (const ProcDecl* proc : cg_.procs()) {
+      uint64_t fp = fps_.deep.at(proc);
+      if (store_.getDeepProc(fp, kind)) continue;
+      auto sit = result.proc_summaries.find(proc);
+      if (sit == result.proc_summaries.end()) continue;
+      store::DeepEncodeInput in;
+      in.program = &program;
+      in.proc = proc;
+      in.summary = &sit->second;
+      in.vars = &result.vars;
+      bool complete = true;
+      for (const ForStmt* loop : store::procLoopsInOrder(*proc)) {
+        const LoopPlan* plan = result.planFor(loop);
+        if (!plan) {
+          complete = false;
+          break;
+        }
+        in.plans.push_back(plan);
+      }
+      if (!complete) continue;
+      std::string bytes, err;
+      if (encodeDeepProc(in, bytes, err))
+        store_.putDeepProc(fp, kind, std::move(bytes));
+    }
+  }
+
+  store::SummaryStore& store_;
+  CallGraph cg_;
+  ProcFingerprints fps_;
+  KindState base_, pred_;
+};
 
 /// PADFA_IPA_CHECK tripwire: byte-compare the incremental result's plan
 /// signature against a cold compile of the same bytes; abort on any
@@ -152,73 +162,15 @@ std::optional<CompiledProgram> compileSourceIncremental(
     return cp;
   }
 
-  auto program = parseProgram(source, diags);
-  if (!program) return std::nullopt;
-  if (!analyze(*program, diags)) return std::nullopt;
-
-  CallGraph cg = CallGraph::build(*program);
-  ProcFingerprints fps = fingerprintProgram(*program, cg);
-
-  uint64_t fp_hits = 0, fp_misses = 0;
-  KindState base_st, pred_st;
-  prepareKind(base_st, store::kDeepKindBase, *program, cg, fps, store,
-              fp_hits, fp_misses);
-  prepareKind(pred_st, store::kDeepKindPred, *program, cg, fps, store,
-              fp_hits, fp_misses);
-
-  CompiledProgram cp;
-  cp.loops = LoopTree::build(*program);
-  Program& prog = *program;
-  AnalysisConfig base_cfg = AnalysisConfig::baseline();
-  base_cfg.budget = limits;
-  base_cfg.preload = &base_st.preload;
-  base_cfg.export_summaries = true;
-  AnalysisConfig pred_cfg = AnalysisConfig::predicated();
-  pred_cfg.budget = limits;
-  pred_cfg.preload = &pred_st.preload;
-  pred_cfg.export_summaries = true;
-  std::future<AnalysisResult> base_fut = analysisPool().submit(
-      [&prog, &base_cfg] { return analyzeProgram(prog, base_cfg); });
-  cp.pred = analyzeProgram(prog, pred_cfg);
-  cp.base = base_fut.get();
-
-  mergeReplayedPlans(cp.base, base_st);
-  mergeReplayedPlans(cp.pred, pred_st);
-
-  // Same degradation ladder as compileSource(): a degraded predicated
-  // plan falls back to an undegraded baseline plan for the same loop.
-  for (auto& [loop, pplan] : cp.pred.plans) {
-    if (!pplan.degraded) continue;
-    const LoopPlan* bplan = cp.base.planFor(loop);
-    if (!bplan || bplan->degraded) continue;
-    std::string cause = std::move(pplan.degrade_cause);
-    pplan = *bplan;
-    pplan.degraded = true;
-    pplan.degrade_cause = std::move(cause);
-  }
-
-  persistKind(prog, cp.base, cg, fps, store::kDeepKindBase, store);
-  persistKind(prog, cp.pred, cg, fps, store::kDeepKindPred, store);
-
-  // Doacross upgrade + value-range promotion after persistence: the
-  // store only ever sees pre-upgrade plans, so warm replays re-derive
-  // the same upgrades and promotions a cold run would (see
-  // dataflow/doacross.h, dataflow/vra_promote.h). This path only runs
-  // ungoverned (the governed case bailed to plain compileSource above),
-  // matching the driver's skip-refinement-when-governed rule.
-  std::unique_ptr<vra::RangeAnalysis> ranges;
-  if (vra::vraEnabled()) ranges = std::make_unique<vra::RangeAnalysis>(prog);
-  const vra::RangeAnalysis* rp =
-      ranges && ranges->enabled() ? ranges.get() : nullptr;
-  upgradeDoacrossPlans(prog, cp.pred, rp);
-  if (rp) applyVraPromotions(prog, cp.pred, *rp);
+  StoreReplay replay(store);
+  auto cp = compileSource(source, diags, limits, &replay);
+  if (!cp) return std::nullopt;
 
   size_t replayed_both = 0;
   std::vector<std::string> dirty_names, replayed_names;
-  for (const ProcDecl* proc : cg.procs()) {
-    bool full = base_st.replayed.count(proc) && pred_st.replayed.count(proc);
-    std::string name(prog.interner.str(proc->name));
-    if (full) {
+  for (const ProcDecl* proc : replay.callGraph().procs()) {
+    std::string name(cp->interner().str(proc->name));
+    if (replay.replayedBoth(proc)) {
       ++replayed_both;
       replayed_names.push_back(std::move(name));
     } else {
@@ -232,28 +184,27 @@ std::optional<CompiledProgram> compileSourceIncremental(
                                     std::memory_order_relaxed);
   counters.procs_replayed.fetch_add(replayed_both,
                                     std::memory_order_relaxed);
-  counters.fingerprint_hits.fetch_add(fp_hits, std::memory_order_relaxed);
-  counters.fingerprint_misses.fetch_add(fp_misses,
+  counters.fingerprint_hits.fetch_add(replay.fp_hits,
+                                      std::memory_order_relaxed);
+  counters.fingerprint_misses.fetch_add(replay.fp_misses,
                                         std::memory_order_relaxed);
   counters.last_dirty_size.store(dirty_names.size(),
                                  std::memory_order_relaxed);
 
   if (info) {
-    info->procs_total = cg.procs().size();
+    info->procs_total = replay.callGraph().procs().size();
     info->procs_replayed = replayed_both;
     info->procs_analyzed = dirty_names.size();
     info->dirty = std::move(dirty_names);
     info->replayed = std::move(replayed_names);
-    info->fingerprint_hits = fp_hits;
-    info->fingerprint_misses = fp_misses;
+    info->fingerprint_hits = replay.fp_hits;
+    info->fingerprint_misses = replay.fp_misses;
     info->incremental = true;
   }
 
-  cp.program = std::move(program);
-
   const char* check = std::getenv("PADFA_IPA_CHECK");
   if (check && *check && replayed_both > 0)
-    checkColdEquivalence(source, limits, cp);
+    checkColdEquivalence(source, limits, *cp);
 
   return cp;
 }

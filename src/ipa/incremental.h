@@ -57,13 +57,14 @@ struct IncrementalInfo {
   bool incremental = false;
 };
 
-/// compileSource() with change-impact replay against `store`.
-///
-/// Matches compileSource(source, diags, limits) exactly in outputs
-/// (same CompiledProgram shape, same degradation ladder, byte-identical
-/// plan signatures); differs only in how much analysis actually runs.
-/// Fresh (non-degraded, ungoverned) procedure records are persisted
-/// back into `store` in memory — the caller decides when to save().
+/// compileSource() with change-impact replay against `store`: the same
+/// pipeline, given a ReplayHook that preloads stored procedure records
+/// and persists fresh ones, so outputs (byte-identical plan signatures)
+/// match compileSource(source, diags, limits) and only the amount of
+/// analysis differs. Fresh (non-degraded, ungoverned) procedure records
+/// are persisted back into `store` in memory — the caller decides when
+/// to save(). Under a governed budget or disabled caches this is a plain
+/// compileSource() call.
 std::optional<CompiledProgram> compileSourceIncremental(
     const std::string& source, DiagEngine& diags, const BudgetLimits& limits,
     store::SummaryStore& store, IncrementalInfo* info = nullptr);

@@ -9,9 +9,9 @@
 //      corrupt snapshot at the live name is quarantined on open() and
 //      the store recovers cold, and a later save() re-creates a clean
 //      snapshot while the quarantined bytes survive for post-mortem;
-//   3. the whole-corpus property — for every corpus program, plans
-//      persisted through a save/load cycle reassemble to a signature
-//      bit-identical to a fresh in-process compile.
+//   3. the whole-corpus property — for every corpus program, the plan
+//      signature persisted through a save/load cycle is bit-identical
+//      to a fresh in-process compile.
 #include <gtest/gtest.h>
 
 #include <sys/stat.h>
@@ -68,15 +68,52 @@ StoreData sampleData() {
   d.feasibility["sys:a<=b"] = 0;
   d.feasibility["sys:b<=a"] = 1;
   d.feasibility["sys:inexact"] = 2;
-  d.proc_plans[{0x1234, "main"}] = "loop L1 status=Parallel\n";
-  d.proc_plans[{0x1234, "work"}] = "loop L2 status=Sequential\n";
-  d.responses[{0x1234, "procs"}] = "main\nwork\n";
-  d.responses[{0x1234, "telemetry"}] = "degraded_globally=0\n";
+  d.responses[{0x1234, "signature"}] =
+      "L1 outcome=base-parallel\nbase degraded_globally=0 causes=[]\n";
   d.responses[{0x1234, "report"}] = "loop  depth  plan\n";
   d.deep_procs[{0xabcdef01, 0}] = std::string("\x01", 1) + "base-bytes";
   d.deep_procs[{0xabcdef01, 1}] = std::string("\x01", 1) + "pred-bytes";
   d.deep_procs[{0xabcdef02, 0}] = "other-proc";
   return d;
+}
+
+/// One framed record: type u8 ++ len u32 ++ payload ++ crc32 u32.
+std::string crcRecord(uint8_t type, const std::string& payload) {
+  std::string rec;
+  rec.push_back(static_cast<char>(type));
+  for (int i = 0; i < 4; ++i)
+    rec.push_back(static_cast<char>((payload.size() >> (8 * i)) & 0xff));
+  uint32_t crc = crc32(rec);
+  crc = crc32(payload.data(), payload.size(), crc);
+  rec += payload;
+  for (int i = 0; i < 4; ++i)
+    rec.push_back(static_cast<char>((crc >> (8 * i)) & 0xff));
+  return rec;
+}
+
+/// A well-formed snapshot in the v2 layout: one per-procedure ProcPlan
+/// record (type 0x02: src_hash u64 ++ name_len u16 ++ name ++ slice)
+/// plus the "procs" and "telemetry" responses it was reassembled from.
+std::string v2Snapshot() {
+  auto hash = [](uint64_t h) {
+    std::string out;
+    for (int i = 0; i < 8; ++i)
+      out.push_back(static_cast<char>((h >> (8 * i)) & 0xff));
+    return out;
+  };
+  auto response = [&](const std::string& kind, const std::string& body) {
+    return crcRecord(store::kResponseRecord,
+                     hash(0x1234) + static_cast<char>(kind.size()) + kind +
+                         body);
+  };
+  std::string b(store::kMagic, sizeof(store::kMagic));
+  b += std::string("\x02\x00\x00\x00", 4);  // version 2
+  b += crcRecord(0x02, hash(0x1234) + std::string("\x04\x00", 2) + "main" +
+                           "L1 outcome=base-parallel\n");
+  b += response("procs", "main\n");
+  b += response("telemetry", "base degraded_globally=0 causes=[]\n");
+  b += crcRecord(store::kEndRecord, "");
+  return b;
 }
 
 // ---------------------------------------------------------------------
@@ -89,7 +126,6 @@ TEST(Snapshot, RoundTripIsBitIdentical) {
   std::string err;
   ASSERT_TRUE(decodeSnapshot(bytes, back, err)) << err;
   EXPECT_EQ(back.feasibility, d.feasibility);
-  EXPECT_EQ(back.proc_plans, d.proc_plans);
   EXPECT_EQ(back.responses, d.responses);
   EXPECT_EQ(back.deep_procs, d.deep_procs);
   // Maps make encode order canonical: re-encoding reproduces the bytes.
@@ -139,6 +175,14 @@ TEST(Snapshot, GoldenCorruptionsAllRejected) {
     b[8] = 1;
     expectRejected(b, "stale v1 version");
   }
+  {  // v2 snapshot (per-procedure ProcPlan records): one-time cold start
+    expectRejected(v2Snapshot(), "stale v2 snapshot");
+    // Its ProcPlan record is unknown to this layout even under a
+    // current header.
+    std::string b = v2Snapshot();
+    b[8] = static_cast<char>(store::kFormatVersion);
+    expectRejected(b, "v2 ProcPlan record");
+  }
   {  // CRC flip: flip one payload bit of the first record
     std::string b = good;
     b[12 + 5] ^= 0x40;
@@ -181,16 +225,8 @@ TEST(Snapshot, GoldenCorruptionsAllRejected) {
   // Deep-proc record corruptions, spliced as hand-built CRC'd records
   // right after the header (the decoder processes them first).
   auto spliceRecord = [&](const std::string& payload) {
-    std::string rec;
-    rec.push_back(static_cast<char>(store::kDeepProcRecord));
-    for (int i = 0; i < 4; ++i)
-      rec.push_back(static_cast<char>((payload.size() >> (8 * i)) & 0xff));
-    uint32_t crc = crc32(rec);
-    crc = crc32(payload.data(), payload.size(), crc);
-    rec += payload;
-    for (int i = 0; i < 4; ++i)
-      rec.push_back(static_cast<char>((crc >> (8 * i)) & 0xff));
-    return good.substr(0, 12) + rec + good.substr(12);
+    return good.substr(0, 12) + crcRecord(store::kDeepProcRecord, payload) +
+           good.substr(12);
   };
   {  // payload shorter than the fixed fp+kind prefix
     expectRejected(spliceRecord(std::string(8, '\x11')), "short deep-proc");
@@ -265,22 +301,18 @@ TEST(SummaryStore, SaveThenLoadRestoresRecords) {
   {
     SummaryStore store(dir.path);
     EXPECT_FALSE(store.open());  // cold: no snapshot yet
-    store.putProcPlan(42, "main", "sig-main");
-    store.putResponse(42, "procs", "main\n");
-    store.putResponse(42, "telemetry", "t");
+    store.putResponse(42, "signature", "sig-main");
     store.putResponse(42, "report", "table");
     std::string err;
     ASSERT_TRUE(store.save(err)) << err;
   }
   SummaryStore store(dir.path);
   EXPECT_TRUE(store.open());
-  EXPECT_EQ(store.getProcPlan(42, "main").value_or(""), "sig-main");
+  EXPECT_EQ(store.getResponse(42, "signature").value_or(""), "sig-main");
   EXPECT_EQ(store.getResponse(42, "report").value_or(""), "table");
-  EXPECT_EQ(store.assembleSignature(42).value_or(""), "sig-maint");
   EXPECT_FALSE(store.getResponse(43, "report").has_value());
-  EXPECT_FALSE(store.assembleSignature(43).has_value());
-  EXPECT_EQ(store.stats().loaded_plans, 1u);
-  EXPECT_EQ(store.stats().loaded_responses, 3u);
+  EXPECT_FALSE(store.getResponse(43, "signature").has_value());
+  EXPECT_EQ(store.stats().loaded_responses, 2u);
 }
 
 TEST(SummaryStore, CorruptSnapshotIsQuarantinedAndStoreStartsCold) {
@@ -345,6 +377,7 @@ TEST(SummaryStore, EveryGoldenCorruptionTriggersQuarantine) {
     b[b.size() / 2] ^= 0x01;
     cases.push_back({"bit-flip", b});
   }
+  cases.push_back({"stale-v2", v2Snapshot()});
   cases.push_back({"truncated", good.substr(0, good.size() - 1)});
   cases.push_back({"garbage", std::string("not a snapshot at all")});
 
@@ -394,8 +427,8 @@ TEST(SummaryStore, SaveLeavesNoTempFilesBehind) {
 }
 
 // ---------------------------------------------------------------------
-// 3. Whole-corpus persistence property: plans that pass through a
-// save/load cycle reassemble bit-identically to a cold compile.
+// 3. Whole-corpus persistence property: a plan signature that passes
+// through a save/load cycle is bit-identical to a cold compile.
 
 TEST(StoreCorpusProperty, PersistedPlansAreBitIdenticalAcrossReload) {
   TempDir dir;
@@ -410,30 +443,23 @@ TEST(StoreCorpusProperty, PersistedPlansAreBitIdenticalAcrossReload) {
       auto cp = compileSource(source, diags);
       ASSERT_TRUE(cp) << diags.dump();
       uint64_t hash = contentHash64(source);
-      std::string procs;
-      for (const auto& p : cp->program->procs) {
-        std::string name(cp->interner().str(p->name));
-        store.putProcPlan(hash, name, procPlanSignature(*cp, p.get()));
-        procs += name;
-        procs += '\n';
-      }
-      store.putResponse(hash, "procs", std::move(procs));
-      store.putResponse(hash, "telemetry", planTelemetrySignature(*cp));
-      expected.emplace_back(hash, planSignature(*cp));
+      std::string signature = planSignature(*cp);
+      store.putResponse(hash, "signature", signature);
+      expected.emplace_back(hash, std::move(signature));
     }
     std::string err;
     ASSERT_TRUE(store.save(err)) << err;
   }
 
   // Reload in a fresh store object (fresh process stand-in) and compare
-  // the reassembled signature against the in-process compile, for every
+  // the stored signature against the in-process compile, for every
   // corpus program.
   SummaryStore store(dir.path);
   ASSERT_TRUE(store.open());
   for (const auto& [hash, signature] : expected) {
-    auto assembled = store.assembleSignature(hash);
-    ASSERT_TRUE(assembled.has_value());
-    EXPECT_EQ(*assembled, signature);
+    auto stored = store.getResponse(hash, "signature");
+    ASSERT_TRUE(stored.has_value());
+    EXPECT_EQ(*stored, signature);
   }
 }
 
