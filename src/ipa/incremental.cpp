@@ -74,9 +74,8 @@ class StoreReplay final : public ReplayHook {
                                    std::vector<LoopPlan>& plans) {
       const std::string& bytes = st.bytes.at(proc);
       std::string err;
-      return store::decodeDeepProcPlans(program, *proc, bytes, plans, err) &&
-             store::decodeDeepProcSummary(program, *proc, bytes, vt, out,
-                                          err);
+      return store::decodeDeepProc(program, *proc, bytes, vt, out, plans,
+                                   err);
     };
   }
 

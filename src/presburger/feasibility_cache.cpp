@@ -1,37 +1,52 @@
 #include "presburger/feasibility_cache.h"
 
 #include <algorithm>
+#include <charconv>
+#include <string_view>
 
 namespace padfa::pb {
+
+namespace {
+
+void appendInt(std::string& buf, int64_t v) {
+  char digits[24];  // an int64 needs at most 20
+  buf.append(digits, std::to_chars(digits, digits + sizeof digits, v).ptr);
+}
+
+}  // namespace
 
 std::string canonicalSystemKey(const System& s) {
   // Order-preserving dense renaming of the used variables: usedVars() is
   // ascending, so term vectors (sorted by VarId) stay sorted after the
   // rename and two systems equal up to renaming encode identically.
   std::vector<VarId> vars = s.usedVars();
-  std::vector<std::string> enc;
-  enc.reserve(s.size());
+  // Encode every constraint into one buffer; spans[i] delimits the i-th.
+  std::string buf;
+  std::vector<std::pair<size_t, size_t>> spans;
+  spans.reserve(s.size());
   for (const auto& c : s.constraints()) {
-    std::string e;
-    e += (c.kind == CmpKind::EQ0) ? 'E' : 'G';
-    e += std::to_string(c.expr.constant());
+    size_t begin = buf.size();
+    buf += (c.kind == CmpKind::EQ0) ? 'E' : 'G';
+    appendInt(buf, c.expr.constant());
     for (const auto& [v, coeff] : c.expr.terms()) {
       size_t dense = static_cast<size_t>(
           std::lower_bound(vars.begin(), vars.end(), v) - vars.begin());
-      e += ';';
-      e += std::to_string(dense);
-      e += '*';
-      e += std::to_string(coeff);
+      buf += ';';
+      appendInt(buf, static_cast<int64_t>(dense));
+      buf += '*';
+      appendInt(buf, coeff);
     }
-    enc.push_back(std::move(e));
+    spans.emplace_back(begin, buf.size() - begin);
   }
   // The constraint multiset is unordered: sort the encodings.
+  std::vector<std::string_view> enc;
+  enc.reserve(spans.size());
+  for (const auto& [begin, len] : spans)
+    enc.emplace_back(buf.data() + begin, len);
   std::sort(enc.begin(), enc.end());
   std::string key;
-  size_t total = 0;
-  for (const auto& e : enc) total += e.size() + 1;
-  key.reserve(total);
-  for (const auto& e : enc) {
+  key.reserve(buf.size() + enc.size());
+  for (std::string_view e : enc) {
     key += e;
     key += '|';
   }
@@ -62,6 +77,9 @@ void FeasibilityCache::clear() {
     std::lock_guard<std::mutex> lock(s.mu);
     s.map.clear();
   }
+  // After the shards: a query that read the old generation and raced the
+  // clear stamps its verdict with a generation that is already stale.
+  generation_.fetch_add(1, std::memory_order_relaxed);
 }
 
 std::vector<std::pair<std::string, Feasibility>> FeasibilityCache::snapshot() {

@@ -9,7 +9,9 @@
 // sorted — so one process-wide cache is sound across programs, analyses,
 // and threads. Entries are never invalidated: System values are
 // immutable once queried (feasible() copies), so a key's answer cannot
-// change ("invalidation by construction").
+// change ("invalidation by construction"). Each System also remembers its
+// own answer, stamped with generation(); clear() bumps the generation, so
+// a remembered answer never outlives the entry it stands for.
 //
 // The value is three-state per the elimination outcome: Infeasible,
 // Feasible (proved by full elimination), or FeasibleInexact (elimination
@@ -23,6 +25,7 @@
 // AnalysisBudget (see perf_stats.h); System::feasible() enforces that.
 #pragma once
 
+#include <atomic>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -53,6 +56,10 @@ class FeasibilityCache {
   void insert(const std::string& key, Feasibility f);
   void clear();
   size_t size();
+  /// Starts at 1; every clear() increments it.
+  uint64_t generation() const {
+    return generation_.load(std::memory_order_relaxed);
+  }
 
   /// All entries, sorted by key — the deterministic export the
   /// persistent summary store serializes. Entries are immutable facts
@@ -70,6 +77,7 @@ class FeasibilityCache {
     return shards_[std::hash<std::string>{}(key) % kShards];
   }
   Shard shards_[kShards];
+  std::atomic<uint64_t> generation_{1};
 };
 
 }  // namespace padfa::pb

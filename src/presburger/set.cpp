@@ -56,7 +56,6 @@ Set Set::intersect(const Set& o) const {
       System s = a;
       s.conjoin(b);
       if (!s.normalize()) continue;
-      if (s.quickInfeasible()) continue;
       out.pieces_.push_back(std::move(s));
     }
   }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <numeric>
 
 #include "presburger/feasibility_cache.h"
 #include "support/budget.h"
@@ -47,106 +46,135 @@ std::string Constraint::str(
 }
 
 void System::conjoin(const System& o) {
+  forgetVerdict();
   constraints_.insert(constraints_.end(), o.constraints_.begin(),
                       o.constraints_.end());
 }
 
+namespace {
+
+using Terms = std::vector<std::pair<VarId, int64_t>>;
+
+// The normalize order: GE0 before EQ0, then term vectors lexicographically.
+bool keyLess(const Constraint& a, const Constraint& b) {
+  if (a.kind != b.kind) return a.kind < b.kind;
+  return a.expr.terms() < b.expr.terms();
+}
+
+bool sameKey(const Constraint& a, const Constraint& b) {
+  return a.kind == b.kind && a.expr.terms() == b.expr.terms();
+}
+
+// Two's-complement negation (INT64_MIN maps to itself).
+int64_t wrapNeg(int64_t c) {
+  return static_cast<int64_t>(0 - static_cast<uint64_t>(c));
+}
+
+// Three-way lexicographic comparison of `a` against the negation of `b`,
+// without materializing the negation.
+int compareToNegated(const Terms& a, const Terms& b) {
+  size_t n = std::min(a.size(), b.size());
+  for (size_t i = 0; i < n; ++i) {
+    if (a[i].first != b[i].first) return a[i].first < b[i].first ? -1 : 1;
+    int64_t nb = wrapNeg(b[i].second);
+    if (a[i].second != nb) return a[i].second < nb ? -1 : 1;
+  }
+  if (a.size() == b.size()) return 0;
+  return a.size() < b.size() ? -1 : 1;
+}
+
+// The constraint in the sorted range [first, last) whose term vector is
+// the negation of `terms`, or null.
+const Constraint* findNegated(const Constraint* first, const Constraint* last,
+                              const Terms& terms) {
+  const Constraint* it = std::lower_bound(
+      first, last, terms, [](const Constraint& c, const Terms& t) {
+        return compareToNegated(c.expr.terms(), t) < 0;
+      });
+  if (it != last && compareToNegated(it->expr.terms(), terms) == 0) return it;
+  return nullptr;
+}
+
+}  // namespace
+
 bool System::normalize() {
-  std::vector<Constraint> out;
-  // Map from term-vector signature to index in `out` for parallel-GE merge.
-  for (auto& c : constraints_) {
-    // gcd reduction / constant-only checks.
+  // gcd reduction / constant-only checks, compacting in place.
+  size_t kept = 0;
+  for (size_t i = 0; i < constraints_.size(); ++i) {
+    Constraint& c = constraints_[i];
     if (c.expr.isConstant()) {
       int64_t k = c.expr.constant();
-      if (c.kind == CmpKind::EQ0 && k != 0) return false;
-      if (c.kind == CmpKind::GE0 && k < 0) return false;
+      if ((c.kind == CmpKind::EQ0 && k != 0) ||
+          (c.kind == CmpKind::GE0 && k < 0)) {
+        forgetVerdict();
+        return false;
+      }
       continue;  // trivially true
     }
     int64_t g = c.expr.coeffGcd();
     if (g > 1) {
       if (c.kind == CmpKind::EQ0) {
-        if (c.expr.constant() % g != 0) return false;  // no integer solution
+        if (c.expr.constant() % g != 0) {  // no integer solution
+          forgetVerdict();
+          return false;
+        }
         c.expr.divideExact(g);
       } else {
         c.expr.divideFloorConstant(g);  // integer tightening
       }
     }
-    out.push_back(std::move(c));
+    if (kept != i) constraints_[kept] = std::move(c);
+    ++kept;
   }
+  constraints_.erase(constraints_.begin() + kept, constraints_.end());
 
-  // Merge parallel GE constraints (same term vector): keep the tightest
-  // (smallest constant); detect EQ duplicates; detect e>=0 && -e+k>=0, k<0.
-  struct Key {
-    std::vector<std::pair<VarId, int64_t>> terms;
-    bool eq;
-    bool operator<(const Key& o) const {
-      if (eq != o.eq) return eq < o.eq;
-      return terms < o.terms;
-    }
-  };
-  std::map<Key, int64_t> best;  // key -> tightest constant
-  for (const auto& c : out) {
-    Key k{c.expr.terms(), c.kind == CmpKind::EQ0};
-    auto it = best.find(k);
-    if (it == best.end()) {
-      best.emplace(std::move(k), c.expr.constant());
-    } else if (c.kind == CmpKind::GE0) {
-      it->second = std::min(it->second, c.expr.constant());
-    } else if (it->second != c.expr.constant()) {
-      return false;  // e + a == 0 and e + b == 0 with a != b
-    }
-  }
-  constraints_.clear();
-  for (const auto& [k, cst] : best) {
-    LinExpr e;
-    for (const auto& [v, c] : k.terms) e.addTerm(v, c);
-    e.setConstant(cst);
-    constraints_.push_back({std::move(e), k.eq ? CmpKind::EQ0 : CmpKind::GE0});
-  }
-  return !quickInfeasible();
-}
-
-// Detect e >= 0 and -e + k >= 0 with -? bound conflict, plus eq/ge
-// contradictions on identical term vectors. Cheap check before full FM.
-bool System::quickInfeasible() const {
-  // Index GE constraints by their term vector; compare against negation.
-  std::map<std::vector<std::pair<VarId, int64_t>>, int64_t> ge;  // tightest
-  std::map<std::vector<std::pair<VarId, int64_t>>, int64_t> eq;
-  for (const auto& c : constraints_) {
-    if (c.expr.isConstant()) {
-      if (c.kind == CmpKind::EQ0 && c.expr.constant() != 0) return true;
-      if (c.kind == CmpKind::GE0 && c.expr.constant() < 0) return true;
+  // Merge constraints with the same (kind, term vector) key: a GE keeps
+  // the tightest (smallest) constant; EQs with different constants
+  // (e + a == 0 and e + b == 0, a != b) are a contradiction.
+  if (!std::is_sorted(constraints_.begin(), constraints_.end(), keyLess))
+    std::sort(constraints_.begin(), constraints_.end(), keyLess);
+  size_t out = 0;
+  for (size_t i = 0; i < constraints_.size(); ++i) {
+    Constraint& c = constraints_[i];
+    if (out > 0 && sameKey(constraints_[out - 1], c)) {
+      LinExpr& prev = constraints_[out - 1].expr;
+      if (c.kind == CmpKind::GE0) {
+        prev.setConstant(std::min(prev.constant(), c.expr.constant()));
+      } else if (prev.constant() != c.expr.constant()) {
+        forgetVerdict();
+        return false;
+      }
       continue;
     }
-    if (c.kind == CmpKind::GE0) {
-      auto [it, inserted] = ge.emplace(c.expr.terms(), c.expr.constant());
-      if (!inserted) it->second = std::min(it->second, c.expr.constant());
-    } else {
-      auto [it, inserted] = eq.emplace(c.expr.terms(), c.expr.constant());
-      if (!inserted && it->second != c.expr.constant()) return true;
-    }
+    if (out != i) constraints_[out] = std::move(c);
+    ++out;
   }
-  for (const auto& [terms, cst] : ge) {
-    // Negated term vector.
-    auto neg = terms;
-    for (auto& [v, c] : neg) c = -c;
-    auto it = ge.find(neg);
-    if (it != ge.end()) {
-      // e + cst >= 0 and -e + cst2 >= 0  =>  -cst <= e <= cst2.
-      if (cst + it->second < 0) return true;
-    }
-    auto ie = eq.find(neg);
-    if (ie != eq.end()) {
-      // -e + k == 0 => e == k; need k + cst >= 0.
-      if (ie->second + cst < 0) return true;
-    }
+  constraints_.erase(constraints_.begin() + out, constraints_.end());
+  if (quickInfeasible()) {
+    forgetVerdict();
+    return false;
+  }
+  return true;
+}
+
+bool System::quickInfeasible() const {
+  // Normalized: GE0 constraints form a sorted prefix, EQ0 a sorted suffix,
+  // each key unique and no constraint constant.
+  const Constraint* first = constraints_.data();
+  const Constraint* last = first + constraints_.size();
+  const Constraint* eqs = std::partition_point(
+      first, last, [](const Constraint& c) { return c.kind == CmpKind::GE0; });
+  for (const Constraint* c = first; c != eqs; ++c) {
+    int64_t cst = c->expr.constant();
+    // e + cst >= 0 and -e + cst2 >= 0  =>  -cst <= e <= cst2.
+    if (const Constraint* ge = findNegated(first, eqs, c->expr.terms()))
+      if (cst + ge->expr.constant() < 0) return true;
+    // -e + k == 0 => e == k; need k + cst >= 0.
+    if (const Constraint* eq = findNegated(eqs, last, c->expr.terms()))
+      if (eq->expr.constant() + cst < 0) return true;
   }
   return false;
 }
-
-namespace {
-// Out-of-class shim so normalize can reuse quickInfeasible on *this.
-}  // namespace
 
 bool System::eliminate(VarId v) {
   bool exact = true;
@@ -154,6 +182,7 @@ bool System::eliminate(VarId v) {
 }
 
 bool System::eliminateTracked(VarId v, bool& exact) {
+  forgetVerdict();
   // Cooperative budget check point: one FM elimination step, charged at
   // the current constraint count. No-op unless a BudgetScope is active.
   if (AnalysisBudget* budget = AnalysisBudget::current())
@@ -226,7 +255,7 @@ bool System::eliminateTracked(VarId v, bool& exact) {
     }
   }
   constraints_ = std::move(out);
-  return normalize() && !quickInfeasible();
+  return normalize();
 }
 
 bool System::projectOnto(const VarFilter& keep) {
@@ -298,19 +327,11 @@ Feasibility eliminateFeasibility(System copy) {
       }
     }
     if (!copy.eliminate(best)) return Feasibility::Infeasible;
-    if (copy.quickInfeasible()) return Feasibility::Infeasible;
     if (copy.size() > System::kMaxConstraints)
       return Feasibility::FeasibleInexact;  // give up: assume feasible
   }
-  // Only constant constraints remain; normalize() already validated them.
-  for (const auto& c : copy.constraints()) {
-    if (c.expr.isConstant()) {
-      if (c.kind == CmpKind::EQ0 && c.expr.constant() != 0)
-        return Feasibility::Infeasible;
-      if (c.kind == CmpKind::GE0 && c.expr.constant() < 0)
-        return Feasibility::Infeasible;
-    }
-  }
+  // No variables left, and a normalized system keeps no constant
+  // constraints: every constraint was satisfied and dropped.
   return Feasibility::Feasible;
 }
 
@@ -325,14 +346,41 @@ FeasibilityCache* usableFeasibilityCache() {
   return &FeasibilityCache::global();
 }
 
+// System::verdict_ encoding: the cache generation shifted left by 3, then
+// a "filled by the keyed path" bit (a repeat counts as a cache hit), the
+// answer, and a "known" bit.
+constexpr uint64_t kVerdictKnown = 1;
+constexpr uint64_t kVerdictFeasible = 2;
+constexpr uint64_t kVerdictKeyed = 4;
+constexpr uint64_t kVerdictFlags = 7;
+constexpr int kVerdictGenShift = 3;
+
 }  // namespace
 
 bool System::feasible() const {
-  System copy = *this;
-  if (!copy.normalize()) return false;
-  if (copy.quickInfeasible()) return false;
-  if (copy.trivial()) return true;
+  // The remembered verdict stands in for the cache: it is consulted and
+  // filled only when the cache is usable, and only for the generation
+  // (FeasibilityCache::clear count) that answered it.
   FeasibilityCache* cache = usableFeasibilityCache();
+  uint64_t gen = cache ? cache->generation() << kVerdictGenShift : 0;
+  if (cache) {
+    uint64_t v = verdict_.load(kRelaxed);
+    if ((v & kVerdictKnown) && (v & ~kVerdictFlags) == gen) {
+      if (v & kVerdictKeyed) PerfStats::instance().feasibility.hit();
+      return (v & kVerdictFeasible) != 0;
+    }
+  }
+  auto remember = [&](bool feasible, bool keyed) {
+    if (cache)
+      verdict_.store(gen | kVerdictKnown | (feasible ? kVerdictFeasible : 0) |
+                         (keyed ? kVerdictKeyed : 0),
+                     kRelaxed);
+    return feasible;
+  };
+
+  System copy = *this;
+  if (!copy.normalize()) return remember(false, false);
+  if (copy.trivial()) return remember(true, false);
   if (!cache)
     return eliminateFeasibility(std::move(copy)) != Feasibility::Infeasible;
   // Key the *normalized* system so structurally equal queries (up to
@@ -341,13 +389,13 @@ bool System::feasible() const {
   CacheStats& stats = PerfStats::instance().feasibility;
   if (std::optional<Feasibility> hit = cache->lookup(key)) {
     stats.hit();
-    return *hit != Feasibility::Infeasible;
+    return remember(*hit != Feasibility::Infeasible, true);
   }
   stats.miss();
   Feasibility f = eliminateFeasibility(std::move(copy));
   cache->insert(key, f);
   stats.insert();
-  return f != Feasibility::Infeasible;
+  return remember(f != Feasibility::Infeasible, true);
 }
 
 std::vector<VarId> System::usedVars() const {
@@ -360,6 +408,7 @@ std::vector<VarId> System::usedVars() const {
 }
 
 void System::substitute(VarId v, const LinExpr& repl) {
+  forgetVerdict();
   for (auto& c : constraints_) c.expr.substitute(v, repl);
 }
 

@@ -9,6 +9,7 @@
 // integer-only infeasibilities (e.g. 2i == 2j+1).
 #pragma once
 
+#include <atomic>
 #include <optional>
 #include <string>
 #include <vector>
@@ -42,8 +43,26 @@ struct Constraint {
 class System {
  public:
   System() = default;
+  System(const System& o)
+      : constraints_(o.constraints_), verdict_(o.verdict_.load(kRelaxed)) {}
+  System(System&& o) noexcept
+      : constraints_(std::move(o.constraints_)),
+        verdict_(o.verdict_.exchange(0, kRelaxed)) {}
+  System& operator=(const System& o) {
+    constraints_ = o.constraints_;
+    verdict_.store(o.verdict_.load(kRelaxed), kRelaxed);
+    return *this;
+  }
+  System& operator=(System&& o) noexcept {
+    constraints_ = std::move(o.constraints_);
+    verdict_.store(o.verdict_.exchange(0, kRelaxed), kRelaxed);
+    return *this;
+  }
 
-  void add(Constraint c) { constraints_.push_back(std::move(c)); }
+  void add(Constraint c) {
+    forgetVerdict();
+    constraints_.push_back(std::move(c));
+  }
   void addGE0(LinExpr e) { add(Constraint::ge0(std::move(e))); }
   void addEQ0(LinExpr e) { add(Constraint::eq0(std::move(e))); }
   void conjoin(const System& o);
@@ -53,9 +72,16 @@ class System {
   bool trivial() const { return constraints_.empty(); }
 
   /// Normalize in place: gcd-reduce, tighten GE constants, drop trivially
-  /// true constraints, dedupe, keep the tightest of parallel constraints.
-  /// Returns false if a constraint is detected to be unsatisfiable (the
-  /// system is then in an unspecified state and must be treated as empty).
+  /// true constraints, dedupe, keep the tightest of parallel constraints,
+  /// then run quickInfeasible(). Returns false if a constraint is detected
+  /// to be unsatisfiable (the system is then in an unspecified state and
+  /// must be treated as empty).
+  ///
+  /// Order contract: on success the constraints are sorted by kind (all
+  /// GE0 before all EQ0), then by term vector (lexicographic over
+  /// (VarId, coeff) pairs), with exactly one constraint per (kind, term
+  /// vector) key and none constant. Printed systems and canonical keys
+  /// depend on this order. Normalizing a normalized system is a no-op.
   bool normalize();
 
   /// Eliminate `v` by Fourier–Motzkin (using equality substitution when an
@@ -78,6 +104,9 @@ class System {
   bool projectOntoTracked(const VarFilter& keep, bool& exact);
 
   /// Rational feasibility (with integer gcd/tightening refinements).
+  /// While the feasibility cache is usable (see feasibility_cache.h) the
+  /// answer is also remembered on this System, so asking again before a
+  /// mutation costs one atomic load.
   bool feasible() const;
 
   /// All VarIds appearing with nonzero coefficient, ascending.
@@ -89,14 +118,20 @@ class System {
   /// Evaluate against a full assignment: true iff all constraints hold.
   bool contains(const std::vector<int64_t>& values) const;
 
-  /// Detect a pair of constraints e >= 0 and -e + k >= 0 with k < 0, or
-  /// normalize-detected contradictions. Cheap check used before full FM.
+  /// Detect e + a >= 0 together with -e + b >= 0 (a + b < 0) or with
+  /// -e + b == 0 (a + b < 0). Cheap, allocation-free check before full
+  /// FM. Precondition: the system is normalized (normalize() returned
+  /// true and nothing was added since); normalize() already runs it.
   bool quickInfeasible() const;
 
   std::string str(
       const std::function<std::string(VarId)>& name = nullptr) const;
 
-  bool operator==(const System& o) const = default;
+  /// Compares constraints only; a remembered feasibility verdict is not
+  /// part of the value.
+  bool operator==(const System& o) const {
+    return constraints_ == o.constraints_;
+  }
 
   /// Work limit for feasibility/elimination: when the constraint count
   /// would exceed this, elimination bails out and feasible() answers true
@@ -104,7 +139,14 @@ class System {
   static constexpr size_t kMaxConstraints = 2048;
 
  private:
+  static constexpr std::memory_order kRelaxed = std::memory_order_relaxed;
+  void forgetVerdict() { verdict_.store(0, kRelaxed); }
+
   std::vector<Constraint> constraints_;
+  /// feasible()'s remembered answer for the current constraints, stamped
+  /// with the feasibility cache's generation (0 = none; encoding in
+  /// system.cpp). Relaxed atomic: concurrent const queries may fill it.
+  mutable std::atomic<uint64_t> verdict_{0};
 };
 
 }  // namespace padfa::pb

@@ -761,21 +761,17 @@ bool encodeDeepProc(const DeepEncodeInput& in, std::string& out,
   return enc.run(out, err);
 }
 
-bool decodeDeepProcSummary(const Program& program, const ProcDecl& proc,
-                           std::string_view bytes, VarTable& vt,
-                           RegionSummary& out, std::string& err) {
-  Decoder dec(program, proc, bytes, vt);
-  std::vector<LoopPlan> plans;
-  return dec.run(out, plans, err);
-}
-
-bool decodeDeepProcPlans(const Program& program, const ProcDecl& proc,
-                         std::string_view bytes, std::vector<LoopPlan>& out,
-                         std::string& err) {
-  VarTable scratch(&program.interner);
-  Decoder dec(program, proc, bytes, scratch);
-  RegionSummary summary;
-  return dec.run(summary, out, err);
+bool decodeDeepProc(const Program& program, const ProcDecl& proc,
+                    std::string_view bytes, VarTable& vt,
+                    RegionSummary& summary, std::vector<LoopPlan>& plans,
+                    std::string& err) {
+  // Decode against a copy so a record that fails part-way cannot leave
+  // ids or aliases behind for the cold analysis that follows.
+  VarTable trial = vt;
+  Decoder dec(program, proc, bytes, trial);
+  if (!dec.run(summary, plans, err)) return false;
+  vt = std::move(trial);
+  return true;
 }
 
 }  // namespace padfa::store

@@ -65,18 +65,16 @@ struct DeepEncodeInput {
 bool encodeDeepProc(const DeepEncodeInput& in, std::string& out,
                     std::string& err);
 
-/// Decode the summary half against a freshly parsed program, creating
-/// VarIds (and aliases) in `vt` in cold-run order. `proc` must be the
-/// procedure the record was encoded from (same canonical content).
-bool decodeDeepProcSummary(const Program& program, const ProcDecl& proc,
-                           std::string_view bytes, VarTable& vt,
-                           RegionSummary& out, std::string& err);
-
-/// Decode the plan half, rebinding each plan to the procedure's loops by
-/// pre-order ordinal. Does not touch any caller VarTable.
-bool decodeDeepProcPlans(const Program& program, const ProcDecl& proc,
-                         std::string_view bytes, std::vector<LoopPlan>& out,
-                         std::string& err);
+/// Decode a record against a freshly parsed program in one pass: the
+/// summary half, creating VarIds (and aliases) in `vt` in cold-run order,
+/// and the plan half, rebinding each plan to the procedure's loops by
+/// pre-order ordinal. `proc` must be the procedure the record was encoded
+/// from (same canonical content). On failure (`err` says why) `summary`
+/// and `plans` are cleared and `vt` is left untouched.
+bool decodeDeepProc(const Program& program, const ProcDecl& proc,
+                    std::string_view bytes, VarTable& vt,
+                    RegionSummary& summary, std::vector<LoopPlan>& plans,
+                    std::string& err);
 
 /// The procedure's loops in deterministic pre-order (the codec's loop
 /// ordinal space).

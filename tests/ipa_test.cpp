@@ -252,25 +252,26 @@ TEST(DeepCodec, RoundTripThroughEphemeralStore) {
       ASSERT_TRUE(rec.has_value())
           << fresh->interner().str(proc->name) << " kind " << int(kind);
       std::vector<LoopPlan> plans;
-      std::string err;
-      EXPECT_TRUE(store::decodeDeepProcPlans(*fresh->program, *proc, *rec,
-                                             plans, err))
-          << err;
-      EXPECT_EQ(plans.size(), store::procLoopsInOrder(*proc).size());
       VarTable vt(&fresh->program->interner);
       RegionSummary summary;
-      EXPECT_TRUE(store::decodeDeepProcSummary(*fresh->program, *proc, *rec,
-                                               vt, summary, err))
+      std::string err;
+      EXPECT_TRUE(store::decodeDeepProc(*fresh->program, *proc, *rec, vt,
+                                        summary, plans, err))
           << err;
+      EXPECT_EQ(plans.size(), store::procLoopsInOrder(*proc).size());
 
       // Any single-byte corruption must be rejected, never half-applied.
       std::string bad = *rec;
       bad[bad.size() / 2] = static_cast<char>(bad[bad.size() / 2] ^ 0x41);
+      VarTable bad_vt(&fresh->program->interner);
+      RegionSummary bad_summary;
       std::vector<LoopPlan> bad_plans;
-      bool ok = store::decodeDeepProcPlans(*fresh->program, *proc, bad,
-                                           bad_plans, err);
+      bool ok = store::decodeDeepProc(*fresh->program, *proc, bad, bad_vt,
+                                      bad_summary, bad_plans, err);
       if (ok) continue;  // corruption may land in an unread reason byte
       EXPECT_TRUE(bad_plans.empty());
+      EXPECT_TRUE(bad_summary.arrays.empty());
+      EXPECT_EQ(bad_vt.size(), VarTable(&fresh->program->interner).size());
       EXPECT_FALSE(err.empty());
     }
   }
@@ -280,14 +281,17 @@ TEST(DeepCodec, RoundTripThroughEphemeralStore) {
   auto rec = st.getDeepProc(fps.deep.at(main_p), store::kDeepKindPred);
   ASSERT_TRUE(rec.has_value());
   std::string err;
+  VarTable vt(&fresh->program->interner);
+  RegionSummary summary;
   std::vector<LoopPlan> plans;
-  EXPECT_FALSE(store::decodeDeepProcPlans(
+  EXPECT_FALSE(store::decodeDeepProc(
       *fresh->program, *main_p,
-      std::string_view(rec->data(), rec->size() / 2), plans, err));
+      std::string_view(rec->data(), rec->size() / 2), vt, summary, plans,
+      err));
   // Binding a record to the wrong procedure must fail too.
   const ProcDecl* a = procNamed(*fresh->program, "a");
-  EXPECT_FALSE(
-      store::decodeDeepProcPlans(*fresh->program, *a, *rec, plans, err));
+  EXPECT_FALSE(store::decodeDeepProc(*fresh->program, *a, *rec, vt, summary,
+                                     plans, err));
 }
 
 TEST(Incremental, FullReplayIsByteIdenticalToCold) {

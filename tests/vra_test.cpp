@@ -328,8 +328,9 @@ TEST(VraCorpus, EveryPromotionSurvivesAllThreeVerificationLegs) {
     EXPECT_TRUE(audit.clean()) << e.name << ":\n" << diags.dump();
     for (const auto& la : audit.loops)
       for (const ForStmt* loop : promoted)
-        if (la.loop == loop)
+        if (la.loop == loop) {
           EXPECT_NE(la.verdict, AuditVerdict::Unsound) << e.name;
+        }
 
     // Leg 2: PDG certification, and its cross-check against the audit.
     ProgramPdg pdg = buildPdg(*cp.program, cp.loops);
