@@ -1,5 +1,6 @@
 #include "interp/interp.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -11,7 +12,7 @@
 #include <thread>
 
 #include "audit/race_oracle.h"
-#include "dataflow/doacross.h"
+#include "interp/lowered.h"
 
 namespace padfa {
 
@@ -31,17 +32,55 @@ int64_t inoiseValue(int64_t x, int64_t m) {
 
 namespace {
 
-struct Value {
-  Type type = Type::Int;
-  int64_t i = 0;
-  double r = 0;
+using namespace lowered;
 
-  double asReal() const { return type == Type::Real ? r : static_cast<double>(i); }
-  int64_t asInt() const { return type == Type::Int ? i : static_cast<int64_t>(r); }
-  bool truthy() const { return type == Type::Int ? i != 0 : r != 0; }
+/// Runtime storage for one array. The element buffer is itself shared so
+/// that a reshaped formal parameter (different dims, same data) is just
+/// another ArrayStorage viewing the same buffer — exactly Fortran's
+/// sequence association, which the analysis's Reshape operation models.
+/// A buffer never changes size, so the cached element pointers stay valid
+/// for every view.
+struct ArrayStorage {
+  Type elem = Type::Real;
+  std::vector<int64_t> dims;
+  size_t size = 0;  // product of dims (a view may cover part of its buffer)
+  std::shared_ptr<std::vector<double>> reals;
+  std::shared_ptr<std::vector<int64_t>> ints;
+  double* rdata = nullptr;
+  int64_t* idata = nullptr;
 
-  static Value ofInt(int64_t v) { return {Type::Int, v, 0}; }
-  static Value ofReal(double v) { return {Type::Real, 0, v}; }
+  /// Stable identity of the underlying buffer (shared across views).
+  const void* bufferId() const {
+    return elem == Type::Real ? static_cast<const void*>(reals.get())
+                              : static_cast<const void*>(ints.get());
+  }
+
+  /// A storage over `dims` sharing `like`'s buffer (none yet when null).
+  static std::shared_ptr<ArrayStorage> view(Type elem,
+                                            std::vector<int64_t> dims,
+                                            const ArrayStorage* like) {
+    auto st = std::make_shared<ArrayStorage>();
+    st->elem = elem;
+    st->dims = std::move(dims);
+    st->size = 1;
+    for (int64_t d : st->dims) st->size *= static_cast<size_t>(d);
+    if (like) {
+      st->reals = like->reals;
+      st->ints = like->ints;
+      st->rdata = like->rdata;
+      st->idata = like->idata;
+    }
+    return st;
+  }
+
+  void setBuffer(std::vector<double> v) {
+    reals = std::make_shared<std::vector<double>>(std::move(v));
+    rdata = reals->data();
+  }
+  void setBuffer(std::vector<int64_t> v) {
+    ints = std::make_shared<std::vector<int64_t>>(std::move(v));
+    idata = ints->data();
+  }
 };
 
 struct Cell {
@@ -53,18 +92,6 @@ struct Cell {
 using Frame = std::vector<Cell>;
 
 // ----------------------------------------------- Doacross run-time sync --
-
-/// Post/wait tables compiled from one Doacross plan's kept sync
-/// requirements. Slots are the distinct source statements.
-struct DoaTables {
-  std::vector<const Stmt*> slots;
-  /// sink stmt -> (slot, distance) waits executed before each execution.
-  std::map<const Stmt*, std::vector<std::pair<uint32_t, int64_t>>> waits;
-  /// source stmt -> slot, for sources whose post fires right after each
-  /// execution (statements not nested in an inner loop; everything else
-  /// is covered by the end-of-iteration backstop post).
-  std::map<const Stmt*, uint32_t> posts;
-};
 
 /// One ring cell, reused by iterations o, o+R, o+2R, ... The window gate
 /// (iteration o spins on cell[o%R].done >= o-R before starting) makes
@@ -104,7 +131,8 @@ double threadCpuSecondsNow() {
 }
 
 /// Per-worker state of an active Doacross region, installed in t_doa
-/// while the worker executes loop-body statements.
+/// while the worker executes loop-body statements. The plan's waits and
+/// posts are looked up by statement id (lowered::DoaTables).
 struct DoaCtx {
   const DoaTables* tables = nullptr;
   DoaCell* cells = nullptr;
@@ -118,20 +146,27 @@ struct DoaCtx {
 
   double busyNow() const { return threadCpuSecondsNow() - cpu_base - spin_cpu; }
 
-  void beforeStmt(const Stmt* s) {
-    auto it = tables->waits.find(s);
-    if (it == tables->waits.end()) return;
-    for (const auto& [slot, dist] : it->second) {
-      int64_t want = ordinal - dist;
+  /// The statement's sync entry, or null when it neither waits nor posts.
+  const DoaStmtSync* syncOf(uint32_t stmt) const {
+    uint32_t k = stmt - tables->first_stmt;  // wraps below first_stmt
+    return k < tables->at.size() ? &tables->at[k] : nullptr;
+  }
+
+  void beforeStmt(uint32_t stmt) {
+    const DoaStmtSync* s = syncOf(stmt);
+    if (!s) return;
+    for (uint32_t w = s->wait_begin; w < s->wait_end; ++w) {
+      const DoaWait& wait = tables->waits[w];
+      int64_t want = ordinal - wait.distance;
       if (want < 0) continue;
       ++wait_count;
       if (rec && rec->events.size() < 256)
-        rec->events.push_back({true, slot, want, busyNow()});
+        rec->events.push_back({true, wait.slot, want, busyNow()});
       DoaCell& cell = cells[want % ring];
-      if (cell.posted[slot].load(std::memory_order_acquire) >= want)
+      if (cell.posted[wait.slot].load(std::memory_order_acquire) >= want)
         continue;
       double sp0 = threadCpuSecondsNow();
-      while (cell.posted[slot].load(std::memory_order_acquire) < want) {
+      while (cell.posted[wait.slot].load(std::memory_order_acquire) < want) {
         if (pool->cancelRequested()) {
           spin_cpu += threadCpuSecondsNow() - sp0;
           throw DoaCancel{};
@@ -142,13 +177,14 @@ struct DoaCtx {
     }
   }
 
-  void afterStmt(const Stmt* s) {
-    auto it = tables->posts.find(s);
-    if (it == tables->posts.end()) return;
+  void afterStmt(uint32_t stmt) {
+    const DoaStmtSync* s = syncOf(stmt);
+    if (!s || s->post < 0) return;
+    uint32_t slot = static_cast<uint32_t>(s->post);
     if (rec && rec->events.size() < 256)
-      rec->events.push_back({false, it->second, -1, busyNow()});
-    cells[ordinal % ring].posted[it->second].store(
-        ordinal, std::memory_order_release);
+      rec->events.push_back({false, slot, -1, busyNow()});
+    cells[ordinal % ring].posted[slot].store(ordinal,
+                                             std::memory_order_release);
   }
 };
 
@@ -158,6 +194,14 @@ struct DoaScope {
   explicit DoaScope(DoaCtx* ctx) { t_doa = ctx; }
   ~DoaScope() { t_doa = nullptr; }
 };
+
+[[noreturn]] void throwOutOfBounds(const Node& x, int64_t idx, int64_t dim,
+                                   unsigned j) {
+  throw RuntimeError(x.src->loc, "index " + std::to_string(idx) +
+                                     " out of bounds [0, " +
+                                     std::to_string(dim - 1) +
+                                     "] in dimension " + std::to_string(j));
+}
 
 class Interp {
  public:
@@ -172,6 +216,10 @@ class Interp {
     // bit-identical across 1..N threads and all scheduler policies.
     if (opt_.plans && opt_.num_threads >= 1 && !opt_.race && !opt_.elpd)
       pool_ = std::make_unique<ThreadPool>(opt_.num_threads);
+    code_ = lower(program, {pool_ ? opt_.plans : nullptr, opt_.elpd,
+                            opt_.race});
+    nodes_ = code_.nodes.data();
+    subs_ = code_.subs.data();
   }
 
   InterpStats run() {
@@ -179,9 +227,12 @@ class Interp {
     if (!main) throw RuntimeError({}, "program has no 'main' procedure");
     if (!main->params.empty())
       throw RuntimeError(main->loc, "'main' must take no parameters");
+    const ProcCode* pc = nullptr;
+    for (const ProcCode& p : code_.procs)
+      if (p.decl == main) pc = &p;
     auto t0 = std::chrono::steady_clock::now();
-    Frame frame(main->all_vars.size());
-    execProc(*main, frame);
+    Frame frame(pc->frame_size);
+    execBlock(pc->body, frame.data());
     auto t1 = std::chrono::steady_clock::now();
     stats_.total_seconds = std::chrono::duration<double>(t1 - t0).count();
     stats_.simulated_seconds =
@@ -191,178 +242,237 @@ class Interp {
 
  private:
   // ------------------------------------------------------- expression --
+  // Operands evaluate left to right (a, then b); && and || skip b.
 
-  Value eval(const Expr& e, Frame& frame) {
-    switch (e.kind) {
-      case ExprKind::IntLit:
-        return Value::ofInt(static_cast<const IntLitExpr&>(e).value);
-      case ExprKind::RealLit:
-        return Value::ofReal(static_cast<const RealLitExpr&>(e).value);
-      case ExprKind::VarRef: {
-        const auto& v = static_cast<const VarRefExpr&>(e);
-        const Cell& c = frame[v.decl->local_id];
-        if (race_active_) opt_.race->recordScalarRead(v.decl);
-        return v.decl->elem_type == Type::Int ? Value::ofInt(c.i)
-                                              : Value::ofReal(c.r);
+  int64_t evalI(uint32_t n, Cell* f) {
+    const Node& x = nodes_[n];
+    switch (x.op) {
+      case Op::ILit: return x.k.i;
+      case Op::IVar:
+        if (race_active_) recordScalarRead(x);
+        return f[x.a].i;
+      case Op::IArrF: {
+        const ArrayStorage& st = arrayOf(x, f);
+        size_t k = fusedIndex(x, f, st);
+        if (elpd_active_ || race_active_) recordElement(x, st, k, false);
+        return st.idata[k];
       }
-      case ExprKind::ArrayRef: {
-        const auto& a = static_cast<const ArrayRefExpr&>(e);
-        ArrayStorage& st = storageOf(a, frame);
-        size_t flat = flatIndex(a, st, frame);
-        if (elpd_active_)
-          opt_.elpd->recordAccess(st.bufferId(), flat, st.size(), false);
-        if (race_active_)
-          opt_.race->recordAccess(st.bufferId(), a.decl, flat, st.size(),
-                                  false);
-        return st.elem == Type::Int ? Value::ofInt((*st.ints)[flat])
-                                    : Value::ofReal((*st.reals)[flat]);
+      case Op::IArr: {
+        const ArrayStorage& st = arrayOf(x, f);
+        size_t k = treeIndex(x, f, st);
+        if (elpd_active_ || race_active_) recordElement(x, st, k, false);
+        return st.idata[k];
       }
-      case ExprKind::Unary: {
-        const auto& u = static_cast<const UnaryExpr&>(e);
-        Value v = eval(*u.operand, frame);
-        if (u.op == UnOp::Not) return Value::ofInt(v.truthy() ? 0 : 1);
-        if (v.type == Type::Int) return Value::ofInt(-v.i);
-        return Value::ofReal(-v.r);
+      case Op::INeg: return -evalI(x.a, f);
+      case Op::IAdd: {
+        int64_t l = evalI(x.a, f);
+        return l + evalI(x.b, f);
       }
-      case ExprKind::Binary:
-        return evalBinary(static_cast<const BinaryExpr&>(e), frame);
-      case ExprKind::Intrinsic:
-        return evalIntrinsic(static_cast<const IntrinsicExpr&>(e), frame);
+      case Op::ISub: {
+        int64_t l = evalI(x.a, f);
+        return l - evalI(x.b, f);
+      }
+      case Op::IMul: {
+        int64_t l = evalI(x.a, f);
+        return l * evalI(x.b, f);
+      }
+      case Op::IDiv: {
+        int64_t l = evalI(x.a, f);
+        int64_t r = evalI(x.b, f);
+        if (r == 0) throw RuntimeError(x.src->loc, "integer division by zero");
+        return l / r;
+      }
+      case Op::IRem: {
+        int64_t l = evalI(x.a, f);
+        int64_t r = evalI(x.b, f);
+        if (r == 0) throw RuntimeError(x.src->loc, "integer modulo by zero");
+        return l % r;
+      }
+      case Op::IMin: {
+        int64_t l = evalI(x.a, f);
+        return std::min(l, evalI(x.b, f));
+      }
+      case Op::IMax: {
+        int64_t l = evalI(x.a, f);
+        return std::max(l, evalI(x.b, f));
+      }
+      case Op::IAbs: {
+        int64_t v = evalI(x.a, f);
+        return v < 0 ? -v : v;
+      }
+      case Op::INoise: {
+        int64_t v = evalI(x.a, f);
+        return inoiseValue(v, evalI(x.b, f));
+      }
+      case Op::R2I: return static_cast<int64_t>(evalR(x.a, f));
+      case Op::IEq: { int64_t l = evalI(x.a, f); return l == evalI(x.b, f); }
+      case Op::INe: { int64_t l = evalI(x.a, f); return l != evalI(x.b, f); }
+      case Op::ILt: { int64_t l = evalI(x.a, f); return l < evalI(x.b, f); }
+      case Op::ILe: { int64_t l = evalI(x.a, f); return l <= evalI(x.b, f); }
+      case Op::IGt: { int64_t l = evalI(x.a, f); return l > evalI(x.b, f); }
+      case Op::IGe: { int64_t l = evalI(x.a, f); return l >= evalI(x.b, f); }
+      case Op::REq: { double l = evalR(x.a, f); return l == evalR(x.b, f); }
+      case Op::RNe: { double l = evalR(x.a, f); return l != evalR(x.b, f); }
+      case Op::RLt: { double l = evalR(x.a, f); return l < evalR(x.b, f); }
+      case Op::RLe: { double l = evalR(x.a, f); return l <= evalR(x.b, f); }
+      case Op::RGt: { double l = evalR(x.a, f); return l > evalR(x.b, f); }
+      case Op::RGe: { double l = evalR(x.a, f); return l >= evalR(x.b, f); }
+      case Op::And:
+        if (evalI(x.a, f) == 0) return 0;
+        return evalI(x.b, f) != 0;
+      case Op::Or:
+        if (evalI(x.a, f) != 0) return 1;
+        return evalI(x.b, f) != 0;
+      case Op::Not: return evalI(x.a, f) == 0;
+      default: break;
     }
-    throw RuntimeError(e.loc, "unreachable expression kind");
+    throw std::logic_error("interp: real opcode in int context");
   }
 
-  Value evalBinary(const BinaryExpr& b, Frame& frame) {
-    Value l = eval(*b.lhs, frame);
-    // Short-circuit logical operators.
-    if (b.op == BinOp::And) {
-      if (!l.truthy()) return Value::ofInt(0);
-      return Value::ofInt(eval(*b.rhs, frame).truthy() ? 1 : 0);
+  double evalR(uint32_t n, Cell* f) {
+    const Node& x = nodes_[n];
+    switch (x.op) {
+      case Op::RLit: return x.k.r;
+      case Op::RVar:
+        if (race_active_) recordScalarRead(x);
+        return f[x.a].r;
+      case Op::RArrF: {
+        const ArrayStorage& st = arrayOf(x, f);
+        size_t k = fusedIndex(x, f, st);
+        if (elpd_active_ || race_active_) recordElement(x, st, k, false);
+        return st.rdata[k];
+      }
+      case Op::RArr: {
+        const ArrayStorage& st = arrayOf(x, f);
+        size_t k = treeIndex(x, f, st);
+        if (elpd_active_ || race_active_) recordElement(x, st, k, false);
+        return st.rdata[k];
+      }
+      case Op::RNeg: return -evalR(x.a, f);
+      case Op::RAdd: {
+        double l = evalR(x.a, f);
+        return l + evalR(x.b, f);
+      }
+      case Op::RSub: {
+        double l = evalR(x.a, f);
+        return l - evalR(x.b, f);
+      }
+      case Op::RMul: {
+        double l = evalR(x.a, f);
+        return l * evalR(x.b, f);
+      }
+      case Op::RDiv: {
+        double l = evalR(x.a, f);
+        return l / evalR(x.b, f);
+      }
+      case Op::RMin: {
+        double l = evalR(x.a, f);
+        return std::min(l, evalR(x.b, f));
+      }
+      case Op::RMax: {
+        double l = evalR(x.a, f);
+        return std::max(l, evalR(x.b, f));
+      }
+      case Op::RAbs: return std::fabs(evalR(x.a, f));
+      case Op::Sqrt: return std::sqrt(evalR(x.a, f));
+      case Op::Noise: return noiseValue(evalI(x.a, f));
+      case Op::I2R: return static_cast<double>(evalI(x.a, f));
+      default: break;
     }
-    if (b.op == BinOp::Or) {
-      if (l.truthy()) return Value::ofInt(1);
-      return Value::ofInt(eval(*b.rhs, frame).truthy() ? 1 : 0);
-    }
-    Value r = eval(*b.rhs, frame);
-    bool real_op = l.type == Type::Real || r.type == Type::Real;
-    switch (b.op) {
-      case BinOp::Add:
-        return real_op ? Value::ofReal(l.asReal() + r.asReal())
-                       : Value::ofInt(l.i + r.i);
-      case BinOp::Sub:
-        return real_op ? Value::ofReal(l.asReal() - r.asReal())
-                       : Value::ofInt(l.i - r.i);
-      case BinOp::Mul:
-        return real_op ? Value::ofReal(l.asReal() * r.asReal())
-                       : Value::ofInt(l.i * r.i);
-      case BinOp::Div:
-        if (real_op) return Value::ofReal(l.asReal() / r.asReal());
-        if (r.i == 0) throw RuntimeError(b.loc, "integer division by zero");
-        return Value::ofInt(l.i / r.i);
-      case BinOp::Rem:
-        if (r.i == 0) throw RuntimeError(b.loc, "integer modulo by zero");
-        return Value::ofInt(l.i % r.i);
-      case BinOp::Eq:
-        return Value::ofInt(real_op ? l.asReal() == r.asReal() : l.i == r.i);
-      case BinOp::Ne:
-        return Value::ofInt(real_op ? l.asReal() != r.asReal() : l.i != r.i);
-      case BinOp::Lt:
-        return Value::ofInt(real_op ? l.asReal() < r.asReal() : l.i < r.i);
-      case BinOp::Le:
-        return Value::ofInt(real_op ? l.asReal() <= r.asReal() : l.i <= r.i);
-      case BinOp::Gt:
-        return Value::ofInt(real_op ? l.asReal() > r.asReal() : l.i > r.i);
-      case BinOp::Ge:
-        return Value::ofInt(real_op ? l.asReal() >= r.asReal() : l.i >= r.i);
-      default:
-        throw RuntimeError(b.loc, "unreachable binary op");
-    }
+    throw std::logic_error("interp: int opcode in real context");
   }
 
-  Value evalIntrinsic(const IntrinsicExpr& c, Frame& frame) {
-    switch (c.fn) {
-      case Intrinsic::Min:
-      case Intrinsic::Max: {
-        Value a = eval(*c.args[0], frame);
-        Value b = eval(*c.args[1], frame);
-        bool real_op = a.type == Type::Real || b.type == Type::Real;
-        if (real_op) {
-          double x = a.asReal(), y = b.asReal();
-          return Value::ofReal(c.fn == Intrinsic::Min ? std::min(x, y)
-                                                      : std::max(x, y));
-        }
-        return Value::ofInt(c.fn == Intrinsic::Min ? std::min(a.i, b.i)
-                                                   : std::max(a.i, b.i));
-      }
-      case Intrinsic::Abs: {
-        Value a = eval(*c.args[0], frame);
-        if (a.type == Type::Int) return Value::ofInt(a.i < 0 ? -a.i : a.i);
-        return Value::ofReal(std::fabs(a.r));
-      }
-      case Intrinsic::Sqrt:
-        return Value::ofReal(std::sqrt(eval(*c.args[0], frame).asReal()));
-      case Intrinsic::Noise:
-        return Value::ofReal(noiseValue(eval(*c.args[0], frame).asInt()));
-      case Intrinsic::INoise: {
-        int64_t x = eval(*c.args[0], frame).asInt();
-        int64_t m = eval(*c.args[1], frame).asInt();
-        return Value::ofInt(inoiseValue(x, m));
-      }
-    }
-    throw RuntimeError(c.loc, "unreachable intrinsic");
+  const ArrayStorage& arrayOf(const Node& x, const Cell* f) const {
+    const ArrayStorage* st = f[x.a].array.get();
+    if (!st) throw RuntimeError(x.src->loc, "array used before allocation");
+    return *st;
   }
 
-  ArrayStorage& storageOf(const ArrayRefExpr& a, Frame& frame) {
-    const auto& cell = frame[a.decl->local_id];
-    if (!cell.array)
-      throw RuntimeError(a.loc, "array used before allocation");
-    return *cell.array;
+  /// Row-major element index of an array node. Each subscript is bounds
+  /// checked right after it is evaluated, in order.
+  size_t elementIndex(const Node& x, Cell* f, const ArrayStorage& st) {
+    return isFusedArray(x.op) ? fusedIndex(x, f, st) : treeIndex(x, f, st);
   }
 
-  size_t flatIndex(const ArrayRefExpr& a, const ArrayStorage& st,
-                   Frame& frame) {
+  /// Fused subscripts read their slots and offsets inline.
+  [[gnu::always_inline]] size_t fusedIndex(const Node& x, const Cell* f,
+                                           const ArrayStorage& st) {
+    const int64_t* dims = st.dims.data();
+    const Sub* s = &subs_[x.b];
     size_t flat = 0;
-    for (size_t j = 0; j < a.indices.size(); ++j) {
-      int64_t idx = eval(*a.indices[j], frame).asInt();
-      if (idx < 0 || idx >= st.dims[j])
-        throw RuntimeError(a.loc, "index " + std::to_string(idx) +
-                                      " out of bounds [0, " +
-                                      std::to_string(st.dims[j] - 1) +
-                                      "] in dimension " + std::to_string(j));
-      flat = flat * static_cast<size_t>(st.dims[j]) + static_cast<size_t>(idx);
+    for (unsigned j = 0; j < x.rank; ++j) {
+      if (race_active_ && s[j].read) opt_.race->recordScalarRead(s[j].read);
+      int64_t idx = f[s[j].slot].i + s[j].off;
+      if (idx < 0 || idx >= dims[j]) throwOutOfBounds(x, idx, dims[j], j);
+      flat = flat * static_cast<size_t>(dims[j]) + static_cast<size_t>(idx);
     }
     return flat;
   }
 
-  // -------------------------------------------------------- statements --
-
-  void execProc(const ProcDecl& proc, Frame& frame) {
-    if (execBlock(*proc.body, frame)) return;  // hit `return`
+  size_t treeIndex(const Node& x, Cell* f, const ArrayStorage& st) {
+    const int64_t* dims = st.dims.data();
+    size_t flat = 0;
+    const uint32_t* roots = &code_.index_roots[x.b];
+    for (unsigned j = 0; j < x.rank; ++j) {
+      int64_t idx = evalI(roots[j], f);
+      if (idx < 0 || idx >= dims[j]) throwOutOfBounds(x, idx, dims[j], j);
+      flat = flat * static_cast<size_t>(dims[j]) + static_cast<size_t>(idx);
+    }
+    return flat;
   }
 
+  // Instrumentation hooks (ELPD / race oracle; sequential runs only).
+  void recordScalarRead(const Node& x) {
+    opt_.race->recordScalarRead(static_cast<const VarRefExpr*>(x.src)->decl);
+  }
+  void recordElement(const Node& x, const ArrayStorage& st, size_t flat,
+                     bool is_write) {
+    if (elpd_active_)
+      opt_.elpd->recordAccess(st.bufferId(), flat, st.size, is_write);
+    if (race_active_)
+      opt_.race->recordAccess(st.bufferId(),
+                              static_cast<const ArrayRefExpr*>(x.src)->decl,
+                              flat, st.size, is_write);
+  }
+
+  /// Evaluate a loop's run-time test; Pred::evaluate asks for each atom
+  /// operand, found among the loop's lowered atoms.
+  bool evalTest(const ForCode& fc, const Pred& test, Cell* f) {
+    return test.evaluate([&](const Expr& e) {
+      for (uint32_t k = fc.atom_begin; k < fc.atom_end; ++k)
+        if (code_.atoms[k].expr == &e) return evalR(code_.atoms[k].root, f);
+      throw std::logic_error("interp: run-time test atom was not lowered");
+    });
+  }
+
+  // -------------------------------------------------------- statements --
+
   // Returns true if a `return` unwound.
-  bool execBlock(const BlockStmt& block, Frame& frame) {
-    for (const auto& d : block.decls) allocate(*d, frame);
-    for (const auto& s : block.stmts)
-      if (execStmt(*s, frame)) return true;
+  bool execBlock(uint32_t b, Cell* f) {
+    const BlockCode& blk = code_.blocks[b];
+    for (uint32_t d = blk.decl_begin; d < blk.decl_end; ++d)
+      allocate(code_.decls[d], f);
+    for (uint32_t s = blk.stmt_begin; s < blk.stmt_end; ++s)
+      if (execStmt(s, f)) return true;
     return false;
   }
 
-  void allocate(const VarDecl& d, Frame& frame) {
-    Cell& cell = frame[d.local_id];
-    if (d.isArray()) {
-      auto st = std::make_shared<ArrayStorage>();
-      st->elem = d.elem_type;
-      for (const auto& dim : d.dims) {
-        int64_t n = eval(*dim, frame).asInt();
+  void allocate(const DeclCode& d, Cell* f) {
+    Cell& cell = f[d.slot];
+    if (d.dims_end > d.dims_begin) {
+      std::vector<int64_t> dims;
+      for (uint32_t k = d.dims_begin; k < d.dims_end; ++k) {
+        int64_t n = evalI(code_.index_roots[k], f);
         if (n <= 0)
-          throw RuntimeError(d.loc, "non-positive array dimension");
-        st->dims.push_back(n);
+          throw RuntimeError(d.decl->loc, "non-positive array dimension");
+        dims.push_back(n);
       }
-      if (d.elem_type == Type::Real)
-        st->reals = std::make_shared<std::vector<double>>(st->size(), 0.0);
+      Type elem = d.decl->elem_type;
+      auto st = ArrayStorage::view(elem, std::move(dims), nullptr);
+      if (elem == Type::Real)
+        st->setBuffer(std::vector<double>(st->size, 0.0));
       else
-        st->ints = std::make_shared<std::vector<int64_t>>(st->size(), 0);
+        st->setBuffer(std::vector<int64_t>(st->size, 0));
       cell.array = std::move(st);
       // The heap may recycle a freed buffer's address: stale shadow state
       // recorded for the old buffer must not taint the new one.
@@ -370,159 +480,155 @@ class Interp {
     } else {
       cell.i = 0;
       cell.r = 0;
-      if (d.init) {
-        Value v = eval(*d.init, frame);
-        if (d.elem_type == Type::Int)
-          cell.i = v.asInt();
+      if (d.init != kNone) {
+        if (d.decl->elem_type == Type::Int)
+          cell.i = evalI(d.init, f);
         else
-          cell.r = v.asReal();
+          cell.r = evalR(d.init, f);
       }
     }
   }
 
-  bool execStmt(const Stmt& s, Frame& frame) {
+  bool execStmt(uint32_t s, Cell* f) {
     // Doacross post/wait hooks: inside a pipelined region every worker
     // waits before executing a sync sink and posts after executing a
     // sync source (t_doa is null everywhere else — one predictable
     // branch per statement).
     if (t_doa) {
-      t_doa->beforeStmt(&s);
-      bool ret = execStmtImpl(s, frame);
-      t_doa->afterStmt(&s);
+      t_doa->beforeStmt(s);
+      bool ret = execStmtImpl(code_.stmts[s], f);
+      t_doa->afterStmt(s);
       return ret;
     }
-    return execStmtImpl(s, frame);
+    return execStmtImpl(code_.stmts[s], f);
   }
 
-  bool execStmtImpl(const Stmt& s, Frame& frame) {
-    switch (s.kind) {
-      case StmtKind::Assign: {
-        const auto& as = static_cast<const AssignStmt&>(s);
-        Value v = eval(*as.value, frame);
-        if (as.target->kind == ExprKind::ArrayRef) {
-          const auto& ref = static_cast<const ArrayRefExpr&>(*as.target);
-          ArrayStorage& st = storageOf(ref, frame);
-          size_t flat = flatIndex(ref, st, frame);
-          if (elpd_active_)
-            opt_.elpd->recordAccess(st.bufferId(), flat, st.size(), true);
-          if (race_active_)
-            opt_.race->recordAccess(st.bufferId(), ref.decl, flat, st.size(),
-                                    true);
-          if (st.elem == Type::Int)
-            (*st.ints)[flat] = v.asInt();
-          else
-            (*st.reals)[flat] = v.asReal();
-        } else {
-          const auto& ref = static_cast<const VarRefExpr&>(*as.target);
-          Cell& c = frame[ref.decl->local_id];
-          if (race_active_) opt_.race->recordScalarWrite(ref.decl);
-          if (ref.decl->elem_type == Type::Int)
-            c.i = v.asInt();
-          else
-            c.r = v.asReal();
-        }
+  bool execStmtImpl(const SNode& s, Cell* f) {
+    switch (s.op) {
+      case SOp::SetI: {
+        int64_t v = evalI(s.b, f);
+        if (race_active_) recordScalarWrite(s);
+        f[s.a].i = v;
         return false;
       }
-      case StmtKind::If: {
-        const auto& ifs = static_cast<const IfStmt&>(s);
-        if (eval(*ifs.cond, frame).truthy())
-          return execBlock(*ifs.then_block, frame);
-        if (ifs.else_block) return execBlock(*ifs.else_block, frame);
+      case SOp::SetR: {
+        double v = evalR(s.b, f);
+        if (race_active_) recordScalarWrite(s);
+        f[s.a].r = v;
         return false;
       }
-      case StmtKind::For:
-        return execFor(static_cast<const ForStmt&>(s), frame);
-      case StmtKind::Call:
-        return execCall(static_cast<const CallStmt&>(s), frame);
-      case StmtKind::Return:
+      case SOp::StoreI: {
+        int64_t v = evalI(s.b, f);
+        const Node& t = nodes_[s.a];
+        const ArrayStorage& st = arrayOf(t, f);
+        size_t k = elementIndex(t, f, st);
+        if (elpd_active_ || race_active_) recordElement(t, st, k, true);
+        st.idata[k] = v;
+        return false;
+      }
+      case SOp::StoreR: {
+        double v = evalR(s.b, f);
+        const Node& t = nodes_[s.a];
+        const ArrayStorage& st = arrayOf(t, f);
+        size_t k = elementIndex(t, f, st);
+        if (elpd_active_ || race_active_) recordElement(t, st, k, true);
+        st.rdata[k] = v;
+        return false;
+      }
+      case SOp::If:
+        if (evalI(s.a, f) != 0) return execBlock(s.b, f);
+        if (s.c != kNone) return execBlock(s.c, f);
+        return false;
+      case SOp::For:
+        return execFor(code_.loops[s.a], f);
+      case SOp::Call:
+        return execCall(code_.calls[s.a], f);
+      case SOp::Sink: {
+        double v = evalR(s.a, f);
+        std::lock_guard<std::mutex> lock(sink_mu_);
+        stats_.checksum += v;
+        ++stats_.sink_count;
+        return false;
+      }
+      case SOp::Return:
         return true;
-      case StmtKind::Block:
-        return execBlock(static_cast<const BlockStmt&>(s), frame);
+      case SOp::Block:
+        return execBlock(s.a, f);
     }
     return false;
   }
 
-  bool execCall(const CallStmt& s, Frame& frame) {
-    if (s.is_sink) {
-      Value v = eval(*s.args[0], frame);
-      std::lock_guard<std::mutex> lock(sink_mu_);
-      stats_.checksum += v.asReal();
-      ++stats_.sink_count;
-      return false;
-    }
-    const ProcDecl& callee = *s.callee_proc;
-    Frame callee_frame(callee.all_vars.size());
+  void recordScalarWrite(const SNode& s) {
+    const auto& as = static_cast<const AssignStmt&>(*s.src);
+    opt_.race->recordScalarWrite(
+        static_cast<const VarRefExpr&>(*as.target).decl);
+  }
+
+  bool execCall(const CallCode& c, Cell* f) {
+    const ProcCode& callee = code_.procs[c.proc];
+    Frame callee_frame(callee.frame_size);
+    Cell* cf = callee_frame.data();
+    const uint32_t* args = &code_.call_args[c.arg_begin];
     // Bind scalar parameters first: array formal dims may reference any
     // scalar parameter regardless of declaration order.
-    for (size_t i = 0; i < s.args.size(); ++i) {
-      const VarDecl& param = *callee.params[i];
-      if (param.isArray()) continue;
-      Value v = eval(*s.args[i], frame);
-      Cell& cell = callee_frame[param.local_id];
-      if (param.elem_type == Type::Int)
-        cell.i = v.asInt();
+    for (uint32_t p = callee.param_begin; p < callee.param_end; ++p) {
+      const ParamCode& param = code_.params[p];
+      if (param.array) continue;
+      uint32_t arg = args[p - callee.param_begin];
+      if (param.elem == Type::Int)
+        cf[param.slot].i = evalI(arg, f);
       else
-        cell.r = v.asReal();
+        cf[param.slot].r = evalR(arg, f);
     }
-    for (size_t i = 0; i < s.args.size(); ++i) {
-      const VarDecl& param = *callee.params[i];
-      if (!param.isArray()) continue;
-      const auto& ref = static_cast<const VarRefExpr&>(*s.args[i]);
-      const auto& actual = frame[ref.decl->local_id].array;
+    for (uint32_t p = callee.param_begin; p < callee.param_end; ++p) {
+      const ParamCode& param = code_.params[p];
+      if (!param.array) continue;
+      const auto& actual = f[args[p - callee.param_begin]].array;
       if (!actual)
-        throw RuntimeError(s.loc, "array argument not allocated");
+        throw RuntimeError(c.stmt->loc, "array argument not allocated");
       std::vector<int64_t> fdims;
       size_t want = 1;
-      for (const auto& dim : param.dims) {
-        int64_t n = eval(*dim, callee_frame).asInt();
+      for (uint32_t k = param.dims_begin; k < param.dims_end; ++k) {
+        int64_t n = evalI(code_.index_roots[k], cf);
         if (n <= 0)
-          throw RuntimeError(s.loc, "non-positive formal array dimension");
+          throw RuntimeError(c.stmt->loc,
+                             "non-positive formal array dimension");
         fdims.push_back(n);
         want *= static_cast<size_t>(n);
       }
-      Cell& cell = callee_frame[param.local_id];
+      Cell& cell = cf[param.slot];
       if (fdims == actual->dims) {
         cell.array = actual;  // same shape: direct sharing
       } else {
         // Fortran-style sequence association: the formal is a reshaped
         // view over the same buffer.
-        if (want > actual->size())
+        if (want > actual->size)
           throw RuntimeError(
-              s.loc, "reshaped formal view (" + std::to_string(want) +
-                         " elements) exceeds actual array (" +
-                         std::to_string(actual->size()) + " elements)");
-        auto view = std::make_shared<ArrayStorage>();
-        view->elem = actual->elem;
-        view->dims = std::move(fdims);
-        view->reals = actual->reals;  // shared buffers
-        view->ints = actual->ints;
-        cell.array = std::move(view);
+              c.stmt->loc, "reshaped formal view (" + std::to_string(want) +
+                               " elements) exceeds actual array (" +
+                               std::to_string(actual->size) + " elements)");
+        cell.array = ArrayStorage::view(actual->elem, std::move(fdims),
+                                        actual.get());
       }
     }
     try {
-      execProc(callee, callee_frame);
+      execBlock(callee.body, cf);
     } catch (const RuntimeError& e) {
       // Rewrap with a call-stack frame so a fault deep in a callee chain
       // reports every call site on the way down.
-      throw RuntimeError(e, program_.interner.str(callee.name), s.loc);
+      throw RuntimeError(e, program_.interner.str(callee.decl->name),
+                         c.stmt->loc);
     }
     return false;
   }
 
-  bool execFor(const ForStmt& loop, Frame& frame) {
-    int64_t lb = eval(*loop.lower, frame).asInt();
-    int64_t ub = eval(*loop.upper, frame).asInt();
-    int64_t step = loop.step ? eval(*loop.step, frame).asInt() : 1;
-    if (step == 0) throw RuntimeError(loop.loc, "zero loop step");
+  bool execFor(const ForCode& fc, Cell* f) {
+    int64_t lb = evalI(fc.lower, f);
+    int64_t ub = evalI(fc.upper, f);
+    int64_t step = fc.step != kNone ? evalI(fc.step, f) : 1;
+    if (step == 0) throw RuntimeError(fc.loop->loc, "zero loop step");
 
-    const LoopPlan* plan = nullptr;
-    if (opt_.plans && !in_parallel_ && pool_) {
-      plan = opt_.plans->planFor(&loop);
-      if (plan && plan->status != LoopStatus::Parallel &&
-          plan->status != LoopStatus::RuntimeTest &&
-          plan->status != LoopStatus::Doacross)
-        plan = nullptr;
-    }
+    const LoopPlan* plan = in_parallel_ ? nullptr : fc.plan;
 
     auto t0 = std::chrono::steady_clock::now();
     bool returned = false;
@@ -533,8 +639,7 @@ class Interp {
       stats_.runtime_test_atoms += plan->runtime_test.atomCount();
       bool pass = false;
       try {
-        pass = plan->runtime_test.evaluate(
-            [&](const Expr& e) { return eval(e, frame).asReal(); });
+        pass = evalTest(fc, plan->runtime_test, f);
       } catch (const RuntimeError&) {
         // A test whose own evaluation faults (division by zero, bad
         // subscript in an atom) must not crash the dispatch: treat it as
@@ -559,22 +664,22 @@ class Interp {
     double region_sim = -1;
     if (plan && step > 0 && lb <= ub) {
       if (plan->status == LoopStatus::Doacross) {
-        region_sim = execForDoacross(loop, *plan, frame, lb, ub, step);
+        region_sim = execForDoacross(fc, *plan, f, lb, ub, step);
         ++stats_.doacross_loops_entered;
       } else {
-        region_sim = execForParallel(loop, *plan, frame, lb, ub, step);
+        region_sim = execForParallel(fc, *plan, f, lb, ub, step);
         ++stats_.parallel_loops_entered;
       }
       iters = static_cast<uint64_t>((ub - lb) / step + 1);
     } else {
-      returned = execForSequential(loop, frame, lb, ub, step, iters);
+      returned = execForSequential(fc, f, lb, ub, step, iters);
     }
 
     // Profiling is skipped inside parallel regions (stats_ would race);
     // coverage/granularity numbers come from sequential profiled runs.
     if (opt_.profile && !in_parallel_) {
       auto t1 = std::chrono::steady_clock::now();
-      LoopProfile& prof = stats_.profiles[&loop];
+      LoopProfile& prof = stats_.profiles[fc.loop];
       ++prof.invocations;
       prof.iterations += iters;
       double wall = std::chrono::duration<double>(t1 - t0).count();
@@ -584,11 +689,11 @@ class Interp {
     return returned;
   }
 
-  bool execForSequential(const ForStmt& loop, Frame& frame, int64_t lb,
-                         int64_t ub, int64_t step, uint64_t& iters) {
-    bool instrument =
-        opt_.elpd && opt_.elpd->isInstrumented(&loop);
-    if (instrument) opt_.elpd->loopEnter(&loop);
+  bool execForSequential(const ForCode& fc, Cell* f, int64_t lb, int64_t ub,
+                         int64_t step, uint64_t& iters) {
+    const ForStmt* loop = fc.loop;
+    bool instrument = fc.elpd;
+    if (instrument) opt_.elpd->loopEnter(loop);
     // Only touch the activity flags when the corresponding collector is
     // attached: collectors force sequential execution (no pool), so the
     // flags are then single-threaded. Without a collector they must stay
@@ -599,70 +704,51 @@ class Interp {
     // RuntimeTest plans only claim independence on invocations where the
     // derived test passes — the test is evaluated here exactly as the
     // two-version dispatch would (faults count as "failed").
-    bool race_instr = opt_.race && opt_.race->isAudited(&loop);
+    const LoopPlan* rplan = fc.race_plan;
+    bool race_instr = rplan != nullptr;
     if (race_instr) {
-      const LoopPlan* rplan = opt_.race->planFor(&loop);
-      if (rplan->status == LoopStatus::RuntimeTest) {
-        bool pass = false;
+      auto testPasses = [&] {
         try {
-          pass = rplan->runtime_test.evaluate(
-              [&](const Expr& e) { return eval(e, frame).asReal(); });
+          return evalTest(fc, rplan->runtime_test, f);
         } catch (const RuntimeError&) {
-          pass = false;
+          return false;
         }
-        race_instr = pass;
+      };
+      if (rplan->status == LoopStatus::RuntimeTest) {
+        race_instr = testPasses();
       } else if (rplan->status == LoopStatus::Parallel &&
                  rplan->vra_action == VraAction::PromotedParallel) {
         // A promoted plan claims its retained test ALWAYS passes; the
         // oracle checks that claim concretely on every entry. The
         // independence shadowing still runs either way — the plan runs
         // parallel unconditionally, so its claim is unconditional.
-        bool pass = false;
-        try {
-          pass = rplan->runtime_test.evaluate(
-              [&](const Expr& e) { return eval(e, frame).asReal(); });
-        } catch (const RuntimeError&) {
-          pass = false;
-        }
-        if (!pass) opt_.race->promotedTestFailed(&loop);
+        if (!testPasses()) opt_.race->promotedTestFailed(loop);
       }
       if (race_instr) {
         std::set<const void*> priv_buffers;
         for (const auto& pa : rplan->privatized) {
-          const auto& cell = frame[pa.array->local_id];
+          const auto& cell = f[pa.array->local_id];
           if (cell.array) priv_buffers.insert(cell.array->bufferId());
         }
-        opt_.race->loopEnter(&loop, priv_buffers);
+        opt_.race->loopEnter(loop, priv_buffers);
       }
     }
     bool prev_race = race_active_;
     if (opt_.race) race_active_ = race_active_ || race_instr;
     int64_t ordinal = 0;
     bool returned = false;
-    if (step > 0) {
-      for (int64_t i = lb; i <= ub; i += step, ++ordinal) {
-        if (instrument) opt_.elpd->loopIterStart(&loop, ordinal);
-        if (race_instr) opt_.race->loopIterStart(&loop, ordinal);
-        frame[loop.index_decl->local_id].i = i;
-        if (execBlock(*loop.body, frame)) {
-          returned = true;
-          break;
-        }
-      }
-    } else {
-      for (int64_t i = lb; i >= ub; i += step, ++ordinal) {
-        if (instrument) opt_.elpd->loopIterStart(&loop, ordinal);
-        if (race_instr) opt_.race->loopIterStart(&loop, ordinal);
-        frame[loop.index_decl->local_id].i = i;
-        if (execBlock(*loop.body, frame)) {
-          returned = true;
-          break;
-        }
+    for (int64_t i = lb; step > 0 ? i <= ub : i >= ub; i += step, ++ordinal) {
+      if (instrument) opt_.elpd->loopIterStart(loop, ordinal);
+      if (race_instr) opt_.race->loopIterStart(loop, ordinal);
+      f[fc.index_slot].i = i;
+      if (execBlock(fc.body, f)) {
+        returned = true;
+        break;
       }
     }
     iters = static_cast<uint64_t>(ordinal);
-    if (instrument) opt_.elpd->loopExit(&loop);
-    if (race_instr) opt_.race->loopExit(&loop);
+    if (instrument) opt_.elpd->loopExit(loop);
+    if (race_instr) opt_.race->loopExit(loop);
     if (opt_.elpd) elpd_active_ = prev_active;
     if (opt_.race) race_active_ = prev_race;
     return returned;
@@ -673,26 +759,22 @@ class Interp {
   /// Prepare the per-worker shallow frames (plus one dedicated frame for
   /// the final block, which owns copy-out) with fresh privatized array
   /// copies. Returns T+1 frames; index T is the final-block frame.
-  std::vector<Frame> makeWorkerFrames(const LoopPlan& plan, Frame& frame,
+  std::vector<Frame> makeWorkerFrames(const LoopPlan& plan,
+                                      const ForCode& fc, Cell* f,
                                       unsigned T) {
-    std::vector<Frame> frames(T + 1);
-    for (auto& f : frames) f = frame;  // shallow copy (shared arrays alias)
+    // Shallow copies: shared arrays alias.
+    std::vector<Frame> frames(T + 1, Frame(f, f + fc.frame_size));
     for (const auto& pa : plan.privatized) {
-      const Cell& shared = frame[pa.array->local_id];
-      for (auto& f : frames) {
-        auto priv = std::make_shared<ArrayStorage>();
-        priv->elem = shared.array->elem;
-        priv->dims = shared.array->dims;
-        if (shared.array->elem == Type::Real) {
-          priv->reals = std::make_shared<std::vector<double>>(
-              pa.copy_in ? *shared.array->reals
-                         : std::vector<double>(shared.array->size(), 0.0));
-        } else {
-          priv->ints = std::make_shared<std::vector<int64_t>>(
-              pa.copy_in ? *shared.array->ints
-                         : std::vector<int64_t>(shared.array->size(), 0));
-        }
-        f[pa.array->local_id].array = std::move(priv);
+      const ArrayStorage& shared = *f[pa.array->local_id].array;
+      for (auto& fr : frames) {
+        auto priv = ArrayStorage::view(shared.elem, shared.dims, nullptr);
+        if (shared.elem == Type::Real)
+          priv->setBuffer(pa.copy_in ? *shared.reals
+                                     : std::vector<double>(shared.size, 0.0));
+        else
+          priv->setBuffer(pa.copy_in ? *shared.ints
+                                     : std::vector<int64_t>(shared.size, 0));
+        fr[pa.array->local_id].array = std::move(priv);
       }
     }
     return frames;
@@ -740,27 +822,27 @@ class Interp {
   /// take the values left by the globally-last block (which contains the
   /// last iteration — the analysis guarantees per-iteration definition,
   /// so any contiguous tail is equivalent and the choice is
-  /// policy-invariant).
-  void copyOutFrom(const LoopPlan& plan, Frame& frame, Frame& lf) {
+  /// policy-invariant). Arrays are copied in place, so every view of the
+  /// shared buffer keeps its element pointers.
+  void copyOutFrom(const LoopPlan& plan, Cell* f, Frame& lf) {
     for (const auto& pa : plan.privatized) {
       if (!pa.copy_out) continue;
-      Cell& shared = frame[pa.array->local_id];
-      const Cell& priv = lf[pa.array->local_id];
-      if (shared.array->elem == Type::Real)
-        *shared.array->reals = *priv.array->reals;
+      ArrayStorage& shared = *f[pa.array->local_id].array;
+      const ArrayStorage& priv = *lf[pa.array->local_id].array;
+      if (shared.elem == Type::Real)
+        std::copy(priv.reals->begin(), priv.reals->end(), shared.rdata);
       else
-        *shared.array->ints = *priv.array->ints;
+        std::copy(priv.ints->begin(), priv.ints->end(), shared.idata);
     }
     for (const VarDecl* sc : plan.copy_out_scalars)
-      frame[sc->local_id] = lf[sc->local_id];
+      f[sc->local_id] = lf[sc->local_id];
   }
 
   /// DOALL execution over the block scheduler. Returns the simulated
   /// P-processor cost of this region (serial prologue/epilogue at wall
   /// time, parallel region at max-over-workers busy time).
-  double execForParallel(const ForStmt& loop, const LoopPlan& plan,
-                         Frame& frame, int64_t lb, int64_t ub,
-                         int64_t step) {
+  double execForParallel(const ForCode& fc, const LoopPlan& plan, Cell* f,
+                         int64_t lb, int64_t ub, int64_t step) {
     auto wall0 = std::chrono::steady_clock::now();
     unsigned T = pool_->size();
     LoopRange range{lb, ub, step};
@@ -768,7 +850,7 @@ class Interp {
     int64_t chunk = resolveChunk(trip, opt_.chunk);
     uint64_t nblocks = blockCount(trip, chunk);
 
-    std::vector<Frame> frames = makeWorkerFrames(plan, frame, T);
+    std::vector<Frame> frames = makeWorkerFrames(plan, fc, f, T);
 
     // Per-block reduction partials, combined in ascending block order
     // after the barrier: the grouping depends only on the block
@@ -797,8 +879,8 @@ class Interp {
                   // Cooperative cancellation: a sibling faulted; the
                   // barrier rethrows its error anyway.
                   if (pool_->cancelRequested()) break;
-                  tf[loop.index_decl->local_id].i = i;
-                  execBlock(*loop.body, tf);
+                  tf[fc.index_slot].i = i;
+                  execBlock(fc.body, tf.data());
                 }
                 for (size_t r = 0; r < plan.reductions.size(); ++r) {
                   const Cell& c = tf[plan.reductions[r].scalar->local_id];
@@ -810,12 +892,12 @@ class Interp {
     auto region1 = std::chrono::steady_clock::now();
 
     for (size_t r = 0; r < plan.reductions.size(); ++r) {
-      Cell& shared = frame[plan.reductions[r].scalar->local_id];
+      Cell& shared = f[plan.reductions[r].scalar->local_id];
       for (uint64_t b = 0; b < nblocks; ++b)
         applyReduction(plan.reductions[r], shared, partials[r][b].i,
                        partials[r][b].r);
     }
-    if (nblocks > 0) copyOutFrom(plan, frame, frames[T]);
+    if (nblocks > 0) copyOutFrom(plan, f, frames[T]);
 
     auto wall1 = std::chrono::steady_clock::now();
     double wall = std::chrono::duration<double>(wall1 - wall0).count();
@@ -827,28 +909,6 @@ class Interp {
     double sim = (wall - region_wall) + max_busy;
     parallel_simulated_ += sim;
     return sim;
-  }
-
-  /// Post/wait tables for one Doacross plan (built once, single-threaded
-  /// — execFor only reaches this outside parallel regions).
-  const DoaTables& doaTablesFor(const LoopPlan& plan) {
-    auto it = doa_tables_.find(&plan);
-    if (it != doa_tables_.end()) return it->second;
-    DoaTables tables;
-    SyncOrderInfo info = buildSyncOrderInfo(*plan.loop);
-    std::map<const Stmt*, uint32_t> slot_of;
-    for (const auto& req : plan.syncs) {
-      if (req.eliminated) continue;
-      auto [sit, fresh] = slot_of.try_emplace(
-          req.source, static_cast<uint32_t>(tables.slots.size()));
-      if (fresh) {
-        tables.slots.push_back(req.source);
-        if (info.immediate_post.count(req.source))
-          tables.posts[req.source] = sit->second;
-      }
-      tables.waits[req.sink].push_back({sit->second, req.distance});
-    }
-    return doa_tables_.emplace(&plan, std::move(tables)).first->second;
   }
 
   /// Event-driven makespan model for a recorded Doacross region: replay
@@ -905,9 +965,8 @@ class Interp {
   /// Pipelined (Doacross) execution: per-iteration post/wait cells in a
   /// ring of `window` slots; iteration o may not start before iteration
   /// o - window completed. Returns the simulated region cost.
-  double execForDoacross(const ForStmt& loop, const LoopPlan& plan,
-                         Frame& frame, int64_t lb, int64_t ub,
-                         int64_t step) {
+  double execForDoacross(const ForCode& fc, const LoopPlan& plan, Cell* f,
+                         int64_t lb, int64_t ub, int64_t step) {
     auto wall0 = std::chrono::steady_clock::now();
     unsigned T = pool_->size();
     LoopRange range{lb, ub, step};
@@ -918,8 +977,8 @@ class Interp {
     uint64_t nblocks = blockCount(trip, chunk);
     int64_t ring = std::max<int64_t>(2, opt_.doacross_window);
 
-    const DoaTables& tables = doaTablesFor(plan);
-    size_t nslots = tables.slots.size();
+    const DoaTables& tables = code_.doa[fc.doa];
+    size_t nslots = tables.nslots;
     std::vector<DoaCell> cells(static_cast<size_t>(ring));
     for (auto& cell : cells) {
       cell.posted =
@@ -935,7 +994,7 @@ class Interp {
     bool recording = trip <= kSimCap;
     std::vector<DoaIterRec> recs(recording ? trip : 0);
 
-    std::vector<Frame> frames = makeWorkerFrames(plan, frame, T);
+    std::vector<Frame> frames = makeWorkerFrames(plan, fc, f, T);
     std::vector<double> busy(T, 0.0);
     std::atomic<uint64_t> waits_total{0};
 
@@ -984,8 +1043,8 @@ class Interp {
                                         : nullptr;
                     ctx.cpu_base = threadCpuSeconds();
                     ctx.spin_cpu = 0;
-                    tf[loop.index_decl->local_id].i = i;
-                    execBlock(*loop.body, tf);
+                    tf[fc.index_slot].i = i;
+                    execBlock(fc.body, tf.data());
                     double busy_it = ctx.busyNow();
                     if (ctx.rec) ctx.rec->busy = busy_it;
                     block_busy += busy_it;
@@ -1011,12 +1070,12 @@ class Interp {
     auto region1 = std::chrono::steady_clock::now();
 
     for (size_t r = 0; r < plan.reductions.size(); ++r) {
-      Cell& shared = frame[plan.reductions[r].scalar->local_id];
+      Cell& shared = f[plan.reductions[r].scalar->local_id];
       for (uint64_t b = 0; b < nblocks; ++b)
         applyReduction(plan.reductions[r], shared, partials[r][b].i,
                        partials[r][b].r);
     }
-    if (nblocks > 0) copyOutFrom(plan, frame, frames[T]);
+    if (nblocks > 0) copyOutFrom(plan, f, frames[T]);
     stats_.doacross_waits += waits_total.load(std::memory_order_relaxed);
 
     auto wall1 = std::chrono::steady_clock::now();
@@ -1042,7 +1101,11 @@ class Interp {
   InterpOptions opt_;
   InterpStats stats_;
   std::unique_ptr<ThreadPool> pool_;
-  std::map<const LoopPlan*, DoaTables> doa_tables_;
+  /// The program lowered for this run; read-only once built, shared by
+  /// every worker.
+  Code code_;
+  const Node* nodes_ = nullptr;
+  const Sub* subs_ = nullptr;
   std::mutex sink_mu_;
   bool in_parallel_ = false;
   bool elpd_active_ = false;

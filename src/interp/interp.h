@@ -32,28 +32,6 @@ namespace padfa {
 
 class RaceOracle;
 
-/// Runtime storage for one array. The element buffer is itself shared so
-/// that a reshaped formal parameter (different dims, same data) is just
-/// another ArrayStorage viewing the same buffer — exactly Fortran's
-/// sequence association, which the analysis's Reshape operation models.
-struct ArrayStorage {
-  Type elem = Type::Real;
-  std::vector<int64_t> dims;
-  std::shared_ptr<std::vector<double>> reals;
-  std::shared_ptr<std::vector<int64_t>> ints;
-
-  size_t size() const {
-    size_t n = 1;
-    for (int64_t d : dims) n *= static_cast<size_t>(d);
-    return n;
-  }
-  /// Stable identity of the underlying buffer (shared across views).
-  const void* bufferId() const {
-    return elem == Type::Real ? static_cast<const void*>(reals.get())
-                              : static_cast<const void*>(ints.get());
-  }
-};
-
 struct RuntimeError : std::runtime_error {
   /// Location of the faulting statement/expression (innermost frame);
   /// invalid (line 0) when the fault has no program location (e.g.

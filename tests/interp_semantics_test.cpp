@@ -5,10 +5,13 @@
 
 #include <cmath>
 
+#include "audit/race_oracle.h"
 #include "dataflow/analysis.h"
 #include "interp/interp.h"
 #include "lang/parser.h"
 #include "lang/sema.h"
+#include "predicate/pred.h"
+#include "runtime/elpd.h"
 
 namespace padfa {
 namespace {
@@ -271,6 +274,317 @@ proc main() {
   InterpStats s = execute(*p.program, {});
   EXPECT_EQ(s.sink_count, 4u);
   EXPECT_DOUBLE_EQ(s.checksum, 10.0);
+}
+
+// ------------------------------------------------------------- parity --
+// The interpreter executes lowered code, not the AST; these pin the
+// behaviours a lowering could silently change: evaluation order, fault
+// messages and locations, static typing of mixed expressions, and the
+// instrumentation hooks.
+
+/// The message of the RuntimeError a sequential run throws ("" if none).
+std::string faultOf(Prog& p) {
+  try {
+    execute(*p.program, {});
+  } catch (const RuntimeError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+std::string faultOf(std::string_view src) {
+  Prog p = build(src);
+  return faultOf(p);
+}
+
+TEST(Parity, LhsFaultIsReportedBeforeRhsFault) {
+  // Both operands fault; the left one runs first and its fault wins.
+  EXPECT_EQ(faultOf(R"(
+proc main() {
+  int z; z = 0;
+  int x; x = (1 / z) + (1 % z);
+  sink(x);
+}
+)"),
+            "runtime error at 4:17: integer division by zero");
+  EXPECT_EQ(faultOf(R"(
+proc main() {
+  int z; z = 0;
+  real a[4, 4];
+  sink(a[1 % z, 1 / z]);
+}
+)"),
+            "runtime error at 5:12: integer modulo by zero");
+  EXPECT_EQ(faultOf(R"(
+proc main() {
+  int z; z = 0;
+  sink(min(1 % z, 1 / z));
+}
+)"),
+            "runtime error at 4:14: integer modulo by zero");
+  // An assignment evaluates its value before the target's subscripts.
+  EXPECT_EQ(faultOf(R"(
+proc main() {
+  int z; z = 0;
+  real a[4];
+  a[1 % z] = 1 / z;
+}
+)"),
+            "runtime error at 5:16: integer division by zero");
+}
+
+TEST(Parity, ShortCircuitSkipsFaultingRhs) {
+  EXPECT_DOUBLE_EQ(checksum(R"(
+proc main() {
+  int z; z = 0;
+  real a[4];
+  int t; t = (z != 0) && (a[9] > 0.0);
+  int u; u = (z == 0) || (10 / z > 1);
+  int v; v = !((z != 0) && (10 % z > 1));
+  sink(t * 100 + u * 10 + v);
+}
+)"),
+                   11.0);
+}
+
+TEST(Parity, MixedIntRealComparisonsAndMinMax) {
+  auto value = [](const char* decls, const char* expr) {
+    return checksum(std::string("proc main() {\n") + decls + "\n  sink(" +
+                    expr + ");\n}\n");
+  };
+  const char* d = "int i; i = 3; real r; r = 2.5; int big; "
+                  "big = 9007199254740993; real rb; rb = 9007199254740992.0;";
+  EXPECT_DOUBLE_EQ(value(d, "i > r"), 1.0);
+  EXPECT_DOUBLE_EQ(value(d, "i <= r"), 0.0);
+  // The int operand is promoted to real exactly where the comparison is
+  // mixed: 2^53 + 1 rounds to 2^53 and compares equal.
+  EXPECT_DOUBLE_EQ(value(d, "big == rb"), 1.0);
+  EXPECT_DOUBLE_EQ(value(d, "big == big - 1"), 0.0);
+  EXPECT_DOUBLE_EQ(value(d, "min(i, r)"), 2.5);
+  EXPECT_DOUBLE_EQ(value(d, "max(i, r)"), 3.0);
+  // int min/max stay integer: the division truncates.
+  EXPECT_DOUBLE_EQ(value(d, "max(7, i) / 2"), 3.0);
+  EXPECT_DOUBLE_EQ(value(d, "min(7, r) / 2"), 1.25);
+  EXPECT_DOUBLE_EQ(value(d, "i / 2 * r"), 2.5);
+  EXPECT_DOUBLE_EQ(value(d, "i * r / 2"), 3.75);
+}
+
+TEST(Parity, IntAbsAndNegationStayInteger) {
+  auto value = [](const char* expr) {
+    return checksum(std::string("proc main() {\n  int i; i = 7;\n  sink(") +
+                    expr + ");\n}\n");
+  };
+  EXPECT_DOUBLE_EQ(value("abs(0 - i) / 2"), 3.0);
+  EXPECT_DOUBLE_EQ(value("-i / 2"), -3.0);
+  EXPECT_DOUBLE_EQ(value("abs(0.0 - i) / 2"), 3.5);
+  EXPECT_DOUBLE_EQ(value("-(i * 1.0) / 2"), -3.5);
+}
+
+TEST(Parity, OutOfBoundsMessageNamesTheDimension) {
+  // a[i, j + 1] is the var / var+const subscript shape.
+  EXPECT_EQ(faultOf(R"(
+proc main() {
+  real a[4, 4];
+  int i; i = 1;
+  int j; j = 3;
+  a[i, j + 1] = 1.0;
+}
+)"),
+            "runtime error at 6:3: index 4 out of bounds [0, 3] in "
+            "dimension 1");
+  EXPECT_EQ(faultOf(R"(
+proc main() {
+  real a[4, 4];
+  int i; i = 1;
+  int j; j = 3;
+  sink(a[i - 2, j + 1]);
+}
+)"),
+            "runtime error at 6:8: index -1 out of bounds [0, 3] in "
+            "dimension 0");
+  // A subscript of any other shape reports the same way.
+  EXPECT_EQ(faultOf(R"(
+proc main() {
+  real a[4, 4];
+  int i; i = 1;
+  int j; j = 3;
+  sink(a[i, (j + 1) * 1]);
+}
+)"),
+            "runtime error at 6:8: index 4 out of bounds [0, 3] in "
+            "dimension 1");
+}
+
+TEST(Parity, ArrayUsedBeforeAllocation) {
+  // Declarations are allocated in order at block entry. Swapping them
+  // after Sema makes x's initializer read k before k is allocated.
+  Prog p = build(R"(
+proc main() {
+  int k[2];
+  int x = k[0] + 1;
+  sink(x);
+}
+)");
+  auto& decls = p.program->findProc("main")->body->decls;
+  ASSERT_EQ(decls.size(), 2u);
+  std::swap(decls[0], decls[1]);
+  EXPECT_EQ(faultOf(p), "runtime error at 4:11: array used before allocation");
+}
+
+TEST(Parity, FaultingRuntimeTestAtomIsTrappedAndLoopRunsSequentially) {
+  Prog p = build(R"(
+proc kernel(real x[300], int d) {
+  for i = 100 to 199 { x[i] = x[i - d] + 1.0; }
+}
+proc main() {
+  real x[300];
+  for j = 0 to 299 { x[j] = noise(j); }
+  kernel(x, 0 - 100);
+  sink(x[150]);
+}
+)");
+  InterpStats seq = execute(*p.program, {});
+  ProcDecl* kernel = p.program->findProc("kernel");
+  ASSERT_NE(kernel, nullptr);
+  // Replace the kernel loop's derived test by `1 / (d - d) <= 0`, whose
+  // evaluation divides by zero.
+  VarDecl* d = kernel->params[1].get();
+  auto ref = [&] {
+    auto e = std::make_unique<VarRefExpr>(d->name);
+    e->decl = d;
+    return e;
+  };
+  BinaryExpr lhs(BinOp::Div, std::make_unique<IntLitExpr>(1),
+                 std::make_unique<BinaryExpr>(BinOp::Sub, ref(), ref()));
+  IntLitExpr zero(0);
+  int replaced = 0;
+  for (auto& [loop, plan] : p.pred.plans) {
+    if (plan.status != LoopStatus::RuntimeTest) continue;
+    plan.runtime_test =
+        Pred::atom(AtomOp::Le, lhs, zero, false, p.program->interner);
+    ++replaced;
+  }
+  ASSERT_EQ(replaced, 1);
+
+  InterpOptions opt;
+  opt.plans = &p.pred;
+  opt.num_threads = 2;
+  InterpStats par = execute(*p.program, opt);
+  EXPECT_EQ(par.runtime_tests_evaluated, 1u);
+  EXPECT_EQ(par.runtime_tests_trapped, 1u);
+  EXPECT_EQ(par.runtime_tests_passed, 0u);
+  EXPECT_DOUBLE_EQ(par.checksum, seq.checksum);
+
+  // The race oracle evaluates the same test at entry; a faulting test
+  // leaves the loop's independence claim unarmed.
+  RaceOracle oracle(*p.program, p.pred);
+  InterpOptions ropt;
+  ropt.race = &oracle;
+  execute(*p.program, ropt);
+  for (const auto& v : oracle.verdicts())
+    if (v.status == LoopStatus::RuntimeTest) {
+      EXPECT_EQ(v.invocations, 0u);
+    }
+  EXPECT_EQ(oracle.violationCount(), 0u);
+}
+
+const char* kPrivatizable = R"(
+proc main() {
+  real out[50];
+  real help[4];
+  for i = 0 to 49 {
+    help[0] = noise(i);
+    out[i] = help[0] * 2.0;
+  }
+  sink(out[3]);
+}
+)";
+
+const char* kDependent = R"(
+proc main() {
+  real a[100];
+  int k; k = 1;
+  a[0] = 1.0;
+  for i = 1 to 99 { a[i] = a[i - k] + 1.0; }
+  sink(a[99]);
+}
+)";
+
+const ForStmt* loopAtLine(const Prog& p, uint32_t line) {
+  for (const auto& [loop, plan] : p.pred.plans)
+    if (loop->loc.line == line) return loop;
+  return nullptr;
+}
+
+TEST(Parity, ElpdVerdictsOnPrivatizableAndDependentLoops) {
+  struct Case {
+    const char* src;
+    uint32_t line;
+    bool conflict, flow;
+    uint64_t accesses;
+  };
+  for (const Case& c : {Case{kPrivatizable, 5, true, false, 150},
+                        Case{kDependent, 6, true, true, 198}}) {
+    Prog p = build(c.src);
+    const ForStmt* loop = loopAtLine(p, c.line);
+    ASSERT_NE(loop, nullptr);
+    ElpdCollector collector;
+    collector.instrument(loop);
+    InterpOptions opt;
+    opt.elpd = &collector;
+    execute(*p.program, opt);
+    auto v = collector.verdict(loop);
+    EXPECT_TRUE(v.executed) << c.line;
+    EXPECT_EQ(v.conflict, c.conflict) << c.line;
+    EXPECT_EQ(v.flow, c.flow) << c.line;
+    EXPECT_EQ(v.accesses, c.accesses) << c.line;
+    EXPECT_EQ(collector.totalAccesses(), c.accesses) << c.line;
+  }
+}
+
+TEST(Parity, RaceOracleVerdictsOnPrivatizableAndDependentLoops) {
+  // The scalar j is read through the a[j + 1] subscript before the
+  // iteration writes it: a cross-iteration scalar flow.
+  const char* scalar_flow = R"(
+proc main() {
+  real a[100];
+  int j; j = 0;
+  for i = 0 to 98 {
+    a[j + 1] = noise(i);
+    j = i;
+  }
+  sink(a[5]);
+}
+)";
+  struct Case {
+    const char* src;
+    uint32_t line;
+    bool force_parallel;
+    size_t violations;
+    uint64_t accesses;
+    const char* report;
+  };
+  for (const Case& c :
+       {Case{kPrivatizable, 5, false, 0, 150,
+             "loop main/L5 [parallel] clean over 1 invocation(s)\n"},
+        Case{kDependent, 6, true, 1, 198,
+             "loop main/L6 [parallel] VIOLATION: shared array 'a' element "
+             "read by iteration 1 was written by iteration 0\n"},
+        Case{scalar_flow, 5, true, 1, 99,
+             "loop main/L5 [parallel] VIOLATION: scalar 'j' read in "
+             "iteration 1 carries the value written by iteration 0\n"}}) {
+    Prog p = build(c.src);
+    const ForStmt* loop = loopAtLine(p, c.line);
+    ASSERT_NE(loop, nullptr);
+    if (c.force_parallel) p.pred.plans.at(loop).status = LoopStatus::Parallel;
+    RaceOracle oracle(*p.program, p.pred);
+    InterpOptions opt;
+    opt.race = &oracle;
+    execute(*p.program, opt);
+    EXPECT_EQ(oracle.violationCount(), c.violations) << c.line;
+    EXPECT_EQ(oracle.totalAccesses(), c.accesses) << c.line;
+    EXPECT_EQ(oracle.report(p.program->interner), c.report);
+  }
 }
 
 }  // namespace
