@@ -13,6 +13,7 @@
 
 #include "audit/race_oracle.h"
 #include "interp/lowered.h"
+#include "runtime/scheduler.h"
 
 namespace padfa {
 
@@ -213,7 +214,7 @@ class Interp {
     // A single-threaded plan run still gets a (worker-less) pool: planned
     // loops then take the same block decomposition and per-block
     // reduction combine as multi-threaded runs, so results are
-    // bit-identical across 1..N threads and all scheduler policies.
+    // bit-identical across 1..N threads.
     if (opt_.plans && opt_.num_threads >= 1 && !opt_.race && !opt_.elpd)
       pool_ = std::make_unique<ThreadPool>(opt_.num_threads);
     code_ = lower(program, {pool_ ? opt_.plans : nullptr, opt_.elpd,
@@ -663,13 +664,11 @@ class Interp {
 
     double region_sim = -1;
     if (plan && step > 0 && lb <= ub) {
-      if (plan->status == LoopStatus::Doacross) {
-        region_sim = execForDoacross(fc, *plan, f, lb, ub, step);
+      region_sim = execRegion(fc, *plan, f, lb, ub, step);
+      if (plan->status == LoopStatus::Doacross)
         ++stats_.doacross_loops_entered;
-      } else {
-        region_sim = execForParallel(fc, *plan, f, lb, ub, step);
+      else
         ++stats_.parallel_loops_entered;
-      }
       iters = static_cast<uint64_t>((ub - lb) / step + 1);
     } else {
       returned = execForSequential(fc, f, lb, ub, step, iters);
@@ -754,8 +753,6 @@ class Interp {
     return returned;
   }
 
-  static double threadCpuSeconds() { return threadCpuSecondsNow(); }
-
   /// Prepare the per-worker shallow frames (plus one dedicated frame for
   /// the final block, which owns copy-out) with fresh privatized array
   /// copies. Returns T+1 frames; index T is the final-block frame.
@@ -821,9 +818,9 @@ class Interp {
   /// Copy-out from the final-block frame: privatized arrays and scalars
   /// take the values left by the globally-last block (which contains the
   /// last iteration — the analysis guarantees per-iteration definition,
-  /// so any contiguous tail is equivalent and the choice is
-  /// policy-invariant). Arrays are copied in place, so every view of the
-  /// shared buffer keeps its element pointers.
+  /// so any contiguous tail is equivalent and the choice does not depend
+  /// on the thread count). Arrays are copied in place, so every view of
+  /// the shared buffer keeps its element pointers.
   void copyOutFrom(const LoopPlan& plan, Cell* f, Frame& lf) {
     for (const auto& pa : plan.privatized) {
       if (!pa.copy_out) continue;
@@ -838,234 +835,156 @@ class Interp {
       f[sc->local_id] = lf[sc->local_id];
   }
 
-  /// DOALL execution over the block scheduler. Returns the simulated
-  /// P-processor cost of this region (serial prologue/epilogue at wall
-  /// time, parallel region at max-over-workers busy time).
-  double execForParallel(const ForCode& fc, const LoopPlan& plan, Cell* f,
-                         int64_t lb, int64_t ub, int64_t step) {
-    auto wall0 = std::chrono::steady_clock::now();
-    unsigned T = pool_->size();
-    LoopRange range{lb, ub, step};
-    uint64_t trip = loopTripCount(range);
-    int64_t chunk = resolveChunk(trip, opt_.chunk);
-    uint64_t nblocks = blockCount(trip, chunk);
-
-    std::vector<Frame> frames = makeWorkerFrames(plan, fc, f, T);
-
-    // Per-block reduction partials, combined in ascending block order
-    // after the barrier: the grouping depends only on the block
-    // decomposition, so sums are bit-identical across policies/threads.
-    struct RedPart {
-      int64_t i;
-      double r;
-    };
-    std::vector<std::vector<RedPart>> partials(plan.reductions.size());
-    for (auto& v : partials) v.resize(nblocks);
-
-    auto region0 = std::chrono::steady_clock::now();
-    std::vector<double> busy(T, 0.0);
-    bool prev_in_parallel = in_parallel_;
-    in_parallel_ = true;
-    runBlocks(*pool_, range, chunk, opt_.sched,
-              [&](unsigned t, const LoopBlock& blk) {
-                double cpu0 = threadCpuSeconds();
-                Frame& tf = frames[blk.index == nblocks - 1 ? T : t];
-                for (size_t r = 0; r < plan.reductions.size(); ++r)
-                  setReductionIdentity(
-                      plan.reductions[r],
-                      tf[plan.reductions[r].scalar->local_id]);
-                int64_t i = blk.first;
-                for (uint64_t k = 0; k < blk.iters; ++k, i += step) {
-                  // Cooperative cancellation: a sibling faulted; the
-                  // barrier rethrows its error anyway.
-                  if (pool_->cancelRequested()) break;
-                  tf[fc.index_slot].i = i;
-                  execBlock(fc.body, tf.data());
-                }
-                for (size_t r = 0; r < plan.reductions.size(); ++r) {
-                  const Cell& c = tf[plan.reductions[r].scalar->local_id];
-                  partials[r][blk.index] = {c.i, c.r};
-                }
-                busy[t] += threadCpuSeconds() - cpu0;
-              });
-    in_parallel_ = prev_in_parallel;
-    auto region1 = std::chrono::steady_clock::now();
-
-    for (size_t r = 0; r < plan.reductions.size(); ++r) {
-      Cell& shared = f[plan.reductions[r].scalar->local_id];
-      for (uint64_t b = 0; b < nblocks; ++b)
-        applyReduction(plan.reductions[r], shared, partials[r][b].i,
-                       partials[r][b].r);
-    }
-    if (nblocks > 0) copyOutFrom(plan, f, frames[T]);
-
-    auto wall1 = std::chrono::steady_clock::now();
-    double wall = std::chrono::duration<double>(wall1 - wall0).count();
-    double region_wall =
-        std::chrono::duration<double>(region1 - region0).count();
-    double max_busy = 0;
-    for (double b : busy) max_busy = std::max(max_busy, b);
-    parallel_wall_ += wall;
-    double sim = (wall - region_wall) + max_busy;
-    parallel_simulated_ += sim;
-    return sim;
-  }
-
   /// Event-driven makespan model for a recorded Doacross region: replay
   /// the per-iteration busy/wait/post traces on T virtual workers under
-  /// the canonical block-cyclic assignment (block b -> worker b mod T),
-  /// honoring the sliding window. Processing blocks in ascending index
+  /// the canonical cyclic assignment (iteration o -> worker o mod T),
+  /// honoring the sliding window. Processing iterations in ascending
   /// order is valid because waits and the window gate only reference
   /// strictly smaller ordinals.
   static double doaSimulate(const std::vector<DoaIterRec>& recs, unsigned T,
-                            int64_t ring, size_t nslots, int64_t chunk,
-                            uint64_t nblocks) {
+                            int64_t ring, size_t nslots) {
     uint64_t trip = recs.size();
-    std::vector<double> post_time(trip * std::max<size_t>(nslots, 1), -1.0);
+    std::vector<double> post_time(trip * nslots, -1.0);
     std::vector<double> done(trip, 0.0);
     std::vector<double> wclock(T, 0.0);
-    uint64_t c = static_cast<uint64_t>(chunk);
-    for (uint64_t b = 0; b < nblocks; ++b) {
-      unsigned w = static_cast<unsigned>(b % T);
-      uint64_t first = b * c, last = std::min(trip, first + c);
-      for (uint64_t o = first; o < last; ++o) {
-        double t = wclock[w];
-        if (static_cast<int64_t>(o) >= ring)
-          t = std::max(t, done[o - static_cast<uint64_t>(ring)]);
-        const DoaIterRec& r = recs[o];
-        double prev = 0;
-        for (const DoaEvent& ev : r.events) {
-          t += std::max(0.0, ev.at - prev);
-          prev = ev.at;
-          if (ev.is_wait) {
-            if (ev.dep >= 0 && static_cast<uint64_t>(ev.dep) < o) {
-              double pt = post_time[static_cast<uint64_t>(ev.dep) * nslots +
-                                    ev.slot];
-              if (pt >= 0) t = std::max(t, pt);
-            }
-          } else {
-            double& pt = post_time[o * nslots + ev.slot];
-            if (pt < 0) pt = t;
+    for (uint64_t o = 0; o < trip; ++o) {
+      unsigned w = static_cast<unsigned>(o % T);
+      double t = wclock[w];
+      if (static_cast<int64_t>(o) >= ring)
+        t = std::max(t, done[o - static_cast<uint64_t>(ring)]);
+      const DoaIterRec& r = recs[o];
+      double prev = 0;
+      for (const DoaEvent& ev : r.events) {
+        t += std::max(0.0, ev.at - prev);
+        prev = ev.at;
+        if (ev.is_wait) {
+          if (ev.dep >= 0 && static_cast<uint64_t>(ev.dep) < o) {
+            double pt =
+                post_time[static_cast<uint64_t>(ev.dep) * nslots + ev.slot];
+            if (pt >= 0) t = std::max(t, pt);
           }
+        } else {
+          double& pt = post_time[o * nslots + ev.slot];
+          if (pt < 0) pt = t;
         }
-        t += std::max(0.0, r.busy - prev);
-        for (size_t s = 0; s < nslots; ++s) {
-          double& pt = post_time[o * nslots + s];
-          if (pt < 0) pt = t;  // end-of-iteration backstop post
-        }
-        done[o] = t;
-        wclock[w] = t;
       }
+      t += std::max(0.0, r.busy - prev);
+      for (size_t s = 0; s < nslots; ++s) {
+        double& pt = post_time[o * nslots + s];
+        if (pt < 0) pt = t;  // end-of-iteration backstop post
+      }
+      done[o] = t;
+      wclock[w] = t;
     }
     double makespan = 0;
     for (double t : wclock) makespan = std::max(makespan, t);
     return makespan;
   }
 
-  /// Pipelined (Doacross) execution: per-iteration post/wait cells in a
-  /// ring of `window` slots; iteration o may not start before iteration
-  /// o - window completed. Returns the simulated region cost.
-  double execForDoacross(const ForCode& fc, const LoopPlan& plan, Cell* f,
-                         int64_t lb, int64_t ub, int64_t step) {
+  /// Run one parallel region over the block scheduler. A DOALL plan runs
+  /// blocks of resolveChunk(trip) iterations. A Doacross plan runs
+  /// one-iteration blocks pipelined through per-iteration post/wait
+  /// cells in a ring of `doacross_window` slots: iteration o may not
+  /// start before iteration o - window completed. Reductions combine
+  /// per-block partials in ascending block order after the barrier, so
+  /// their grouping depends only on the block decomposition and results
+  /// are bit-identical across thread counts. Returns the simulated
+  /// P-processor cost of the region: serial prologue/epilogue at wall
+  /// time, the region itself at max-over-workers busy time or, for a
+  /// recorded Doacross region, at the replayed makespan.
+  double execRegion(const ForCode& fc, const LoopPlan& plan, Cell* f,
+                    int64_t lb, int64_t ub, int64_t step) {
     auto wall0 = std::chrono::steady_clock::now();
+    const bool doacross = plan.status == LoopStatus::Doacross;
     unsigned T = pool_->size();
     LoopRange range{lb, ub, step};
     uint64_t trip = loopTripCount(range);
-    // Fine-grained blocks by default: pipelining wants the smallest
-    // grain that amortizes dispatch.
-    int64_t chunk = opt_.chunk >= 1 ? opt_.chunk : 1;
+    int64_t chunk = doacross ? 1 : resolveChunk(trip);
     uint64_t nblocks = blockCount(trip, chunk);
-    int64_t ring = std::max<int64_t>(2, opt_.doacross_window);
-
-    const DoaTables& tables = code_.doa[fc.doa];
-    size_t nslots = tables.nslots;
-    std::vector<DoaCell> cells(static_cast<size_t>(ring));
-    for (auto& cell : cells) {
-      cell.posted =
-          std::make_unique<std::atomic<int64_t>[]>(std::max<size_t>(nslots, 1));
-      for (size_t s = 0; s < nslots; ++s)
-        cell.posted[s].store(-1, std::memory_order_relaxed);
-    }
-
-    // Record per-iteration sync traces for the makespan model, unless
-    // the region is too large to afford it (then fall back to the DOALL
-    // max-busy model).
-    constexpr uint64_t kSimCap = uint64_t{1} << 16;
-    bool recording = trip <= kSimCap;
-    std::vector<DoaIterRec> recs(recording ? trip : 0);
 
     std::vector<Frame> frames = makeWorkerFrames(plan, fc, f, T);
-    std::vector<double> busy(T, 0.0);
-    std::atomic<uint64_t> waits_total{0};
-
-    // Reductions recognized by the scalar phase before the array phase
-    // fell back: same per-block partials + block-order combine as DOALL.
     struct RedPart {
       int64_t i;
       double r;
     };
     std::vector<std::vector<RedPart>> partials(plan.reductions.size());
     for (auto& v : partials) v.resize(nblocks);
+    std::vector<double> busy(T, 0.0);
+
+    // Doacross only: the ring of post/wait cells, and per-iteration sync
+    // traces for the makespan model unless the region is too large to
+    // afford them (then it falls back to the max-busy model).
+    const DoaTables* tables = doacross ? &code_.doa[fc.doa] : nullptr;
+    size_t nslots = doacross ? std::max<size_t>(tables->nslots, 1) : 0;
+    int64_t ring = std::max<int64_t>(2, opt_.doacross_window);
+    std::vector<DoaCell> cells(doacross ? static_cast<size_t>(ring) : 0);
+    for (auto& cell : cells) {
+      cell.posted = std::make_unique<std::atomic<int64_t>[]>(nslots);
+      for (size_t s = 0; s < nslots; ++s)
+        cell.posted[s].store(-1, std::memory_order_relaxed);
+    }
+    constexpr uint64_t kSimCap = uint64_t{1} << 16;
+    bool recording = doacross && trip <= kSimCap;
+    std::vector<DoaIterRec> recs(recording ? trip : 0);
+    std::atomic<uint64_t> waits_total{0};
 
     auto region0 = std::chrono::steady_clock::now();
     bool prev_in_parallel = in_parallel_;
     in_parallel_ = true;
-    runBlocks(*pool_, range, chunk, opt_.sched,
-              [&](unsigned t, const LoopBlock& blk) {
-                Frame& tf = frames[blk.index == nblocks - 1 ? T : t];
-                DoaCtx ctx;
-                ctx.tables = &tables;
-                ctx.cells = cells.data();
-                ctx.ring = ring;
-                ctx.pool = pool_.get();
-                DoaScope scope(&ctx);
-                for (size_t r = 0; r < plan.reductions.size(); ++r)
-                  setReductionIdentity(
-                      plan.reductions[r],
-                      tf[plan.reductions[r].scalar->local_id]);
-                double block_busy = 0;
-                try {
-                  int64_t i = blk.first;
-                  for (uint64_t k = 0; k < blk.iters; ++k, i += step) {
-                    int64_t o = blk.first_ordinal + static_cast<int64_t>(k);
-                    // Window gate: wait for iteration o - ring (same
-                    // ring cell, previous lap) to fully complete.
-                    if (o >= ring) {
-                      DoaCell& gate = cells[o % ring];
-                      while (gate.done.load(std::memory_order_acquire) <
-                             o - ring) {
-                        if (pool_->cancelRequested()) throw DoaCancel{};
-                        std::this_thread::yield();
-                      }
-                    }
-                    ctx.ordinal = o;
-                    ctx.rec = recording ? &recs[static_cast<uint64_t>(o)]
-                                        : nullptr;
-                    ctx.cpu_base = threadCpuSeconds();
-                    ctx.spin_cpu = 0;
-                    tf[fc.index_slot].i = i;
-                    execBlock(fc.body, tf.data());
-                    double busy_it = ctx.busyNow();
-                    if (ctx.rec) ctx.rec->busy = busy_it;
-                    block_busy += busy_it;
-                    // End of iteration: backstop-post every slot (covers
-                    // skipped conditional sources and inner-loop
-                    // sources), then publish completion.
-                    DoaCell& cell = cells[o % ring];
-                    for (size_t s = 0; s < nslots; ++s)
-                      cell.posted[s].store(o, std::memory_order_release);
-                    cell.done.store(o, std::memory_order_release);
-                  }
-                } catch (const DoaCancel&) {
-                }
-                for (size_t r = 0; r < plan.reductions.size(); ++r) {
-                  const Cell& c = tf[plan.reductions[r].scalar->local_id];
-                  partials[r][blk.index] = {c.i, c.r};
-                }
-                busy[t] += block_busy;
-                waits_total.fetch_add(ctx.wait_count,
-                                      std::memory_order_relaxed);
-              });
+    runBlocks(*pool_, range, chunk, [&](unsigned t, const LoopBlock& blk) {
+      Frame& tf = frames[blk.index == nblocks - 1 ? T : t];
+      for (const ScalarReduction& red : plan.reductions)
+        setReductionIdentity(red, tf[red.scalar->local_id]);
+      if (!doacross) {
+        double cpu0 = threadCpuSecondsNow();
+        int64_t i = blk.first;
+        for (uint64_t k = 0; k < blk.iters; ++k, i += step) {
+          // Cooperative cancellation: a sibling faulted; the barrier
+          // rethrows its error anyway.
+          if (pool_->cancelRequested()) break;
+          tf[fc.index_slot].i = i;
+          execBlock(fc.body, tf.data());
+        }
+        busy[t] += threadCpuSecondsNow() - cpu0;
+      } else {
+        int64_t o = blk.first_ordinal;
+        DoaCtx ctx;
+        ctx.tables = tables;
+        ctx.cells = cells.data();
+        ctx.ring = ring;
+        ctx.pool = pool_.get();
+        ctx.ordinal = o;
+        ctx.rec = recording ? &recs[static_cast<uint64_t>(o)] : nullptr;
+        DoaScope scope(&ctx);
+        try {
+          // Window gate: wait for iteration o - ring (same ring cell,
+          // previous lap) to fully complete.
+          DoaCell& cell = cells[o % ring];
+          while (cell.done.load(std::memory_order_acquire) < o - ring) {
+            if (pool_->cancelRequested()) throw DoaCancel{};
+            std::this_thread::yield();
+          }
+          ctx.cpu_base = threadCpuSecondsNow();
+          tf[fc.index_slot].i = blk.first;
+          execBlock(fc.body, tf.data());
+          double busy_it = ctx.busyNow();
+          if (ctx.rec) ctx.rec->busy = busy_it;
+          busy[t] += busy_it;
+          // End of iteration: backstop-post every slot (covers skipped
+          // conditional sources and inner-loop sources), then publish
+          // completion.
+          for (size_t s = 0; s < nslots; ++s)
+            cell.posted[s].store(o, std::memory_order_release);
+          cell.done.store(o, std::memory_order_release);
+        } catch (const DoaCancel&) {
+        }
+        waits_total.fetch_add(ctx.wait_count, std::memory_order_relaxed);
+      }
+      for (size_t r = 0; r < plan.reductions.size(); ++r) {
+        const Cell& c = tf[plan.reductions[r].scalar->local_id];
+        partials[r][blk.index] = {c.i, c.r};
+      }
+    });
     in_parallel_ = prev_in_parallel;
     auto region1 = std::chrono::steady_clock::now();
 
@@ -1082,14 +1001,11 @@ class Interp {
     double wall = std::chrono::duration<double>(wall1 - wall0).count();
     double region_wall =
         std::chrono::duration<double>(region1 - region0).count();
-    double region_model;
-    if (recording && !pool_->cancelRequested()) {
-      region_model = doaSimulate(recs, T, ring, std::max<size_t>(nslots, 1),
-                                 chunk, nblocks);
+    double region_model = 0;
+    if (recording) {
+      region_model = doaSimulate(recs, T, ring, nslots);
     } else {
-      double max_busy = 0;
-      for (double b : busy) max_busy = std::max(max_busy, b);
-      region_model = max_busy;
+      for (double b : busy) region_model = std::max(region_model, b);
     }
     parallel_wall_ += wall;
     double sim = (wall - region_wall) + region_model;

@@ -25,7 +25,6 @@
 #include "dataflow/loop_plan.h"
 #include "lang/ast.h"
 #include "runtime/elpd.h"
-#include "runtime/scheduler.h"
 #include "runtime/thread_pool.h"
 
 namespace padfa {
@@ -108,15 +107,10 @@ struct InterpOptions {
   RaceOracle* race = nullptr;
   /// Record per-loop timing.
   bool profile = false;
-  /// Block-scheduling policy and chunk for parallel loops (defaults read
-  /// PADFA_SCHED / PADFA_CHUNK). The block decomposition — and therefore
-  /// every computed value, including floating-point reduction grouping —
-  /// depends only on `chunk`, never on the policy or thread count.
-  SchedPolicy sched = schedPolicyFromEnv();
-  int64_t chunk = schedChunkFromEnv();
-  /// Doacross sliding-window bound (default PADFA_DOACROSS_WINDOW):
-  /// iteration i may not start before iteration i - window completed.
-  int64_t doacross_window = doacrossWindowFromEnv();
+  /// Doacross sliding-window bound (clamped to >= 2): iteration i may
+  /// not start before iteration i - window completed. Runtime-only —
+  /// computed values never depend on it.
+  int64_t doacross_window = 64;
 };
 
 /// Execute `main` of an analyzed program. Throws RuntimeError on runtime

@@ -137,48 +137,4 @@ ThreadPool& analysisPool() {
   return pool;
 }
 
-std::vector<std::pair<int64_t, int64_t>> splitIterations(int64_t lo,
-                                                         int64_t hi,
-                                                         int64_t step,
-                                                         unsigned parts) {
-  // Empty-part marker: one step "backwards", so first > last for a
-  // positive step and first < last for a negative one.
-  std::pair<int64_t, int64_t> empty =
-      step >= 0 ? std::pair<int64_t, int64_t>{1, 0}
-                : std::pair<int64_t, int64_t>{0, 1};
-  std::vector<std::pair<int64_t, int64_t>> out(parts, empty);
-  if (parts == 0 || step == 0) return out;
-  if (step > 0 ? lo > hi : lo < hi) return out;
-  // Trip count in unsigned arithmetic: |hi - lo| and |step| are computed
-  // mod 2^64 (two's complement negation handles INT64_MIN), so ranges
-  // near the int64 boundaries cannot overflow. The +1 can reach 2^64 for
-  // the full-domain unit-stride range, hence the 128-bit widening.
-  uint64_t span = step > 0
-                      ? static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo)
-                      : static_cast<uint64_t>(lo) - static_cast<uint64_t>(hi);
-  uint64_t mag = step > 0 ? static_cast<uint64_t>(step)
-                          : ~static_cast<uint64_t>(step) + 1;
-  unsigned __int128 count =
-      static_cast<unsigned __int128>(span / mag) + 1;
-  unsigned __int128 base = count / parts;
-  uint64_t rem = static_cast<uint64_t>(count % parts);
-  unsigned __int128 start_idx = 0;
-  for (unsigned p = 0; p < parts; ++p) {
-    unsigned __int128 n = base + (p < rem ? 1 : 0);
-    if (n == 0) continue;
-    // lo + idx*step in wrapping uint64 arithmetic: the true value lies
-    // in [min(lo,hi), max(lo,hi)], so the mod-2^64 result cast back to
-    // int64 is exact.
-    uint64_t s = static_cast<uint64_t>(start_idx);
-    uint64_t e = static_cast<uint64_t>(start_idx + n - 1);
-    int64_t first = static_cast<int64_t>(static_cast<uint64_t>(lo) +
-                                         s * static_cast<uint64_t>(step));
-    int64_t last = static_cast<int64_t>(static_cast<uint64_t>(lo) +
-                                        e * static_cast<uint64_t>(step));
-    out[p] = {first, last};
-    start_idx += n;
-  }
-  return out;
-}
-
 }  // namespace padfa

@@ -2,8 +2,9 @@
 // analysis-level task parallelism.
 //
 // The interpreter's parallel loops follow the SUIF execution model: a
-// parallel region is dispatched to T workers, each executing a contiguous
-// chunk of the iteration space, with a barrier at loop exit (runOnAll).
+// parallel region is dispatched to T workers, which share out the
+// iteration space in blocks (runtime/scheduler.h), with a barrier at
+// loop exit (runOnAll).
 // On top of that, the pool offers a submit()/future API used by the
 // driver and the evaluation harness to run independent analyses (the
 // baseline/predicated pair, whole corpus programs) concurrently.
@@ -104,19 +105,5 @@ ThreadPool& analysisPool();
 
 /// The thread count analysisPool() is (or will be) built with.
 unsigned analysisThreadCount();
-
-/// Split the inclusive iteration range [lo, hi] with stride `step` into
-/// `parts` contiguous chunks. Returns per-part inclusive [first, last]
-/// pairs; empty parts are marked first > last for a positive step and
-/// first < last for a negative one (i.e. the marker runs against the
-/// step direction). Supports negative steps (hi <= lo), ranges whose
-/// trip count exceeds `parts`, and bounds anywhere in the int64 domain
-/// (the trip count is computed in unsigned arithmetic, so e.g.
-/// [INT64_MIN, INT64_MAX] does not overflow). A zero step yields all
-/// empty parts.
-std::vector<std::pair<int64_t, int64_t>> splitIterations(int64_t lo,
-                                                         int64_t hi,
-                                                         int64_t step,
-                                                         unsigned parts);
 
 }  // namespace padfa

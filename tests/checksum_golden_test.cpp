@@ -1,7 +1,7 @@
 // Golden corpus checksums: every corpus program's sequential checksum and
 // predicated-plan checksum, at scales 1 and 4, must equal the bit patterns
 // recorded in checksum_golden/corpus_checksums.txt. The plan checksum is
-// checked at 1 and 3 threads under every scheduling policy, so any change
+// checked at 1 and 3 threads, so any change
 // to the interpreter that reorders a floating-point operation, drops a
 // promotion or regroups a reduction fails here with the program's name.
 //
@@ -69,24 +69,17 @@ TEST_P(ChecksumGolden, SequentialAndPlansMatchRecordedBits) {
   ASSERT_TRUE(cp.has_value()) << e.name << ": " << diags.dump();
 
   InterpOptions seq_opt;
-  seq_opt.chunk = 0;
   std::string seq = hexBits(execute(*cp->program, seq_opt).checksum);
 
   std::string first_plan;
   for (unsigned threads : {1u, 3u}) {
-    for (SchedPolicy pol : {SchedPolicy::Static, SchedPolicy::Dynamic,
-                            SchedPolicy::Guided, SchedPolicy::Steal}) {
-      InterpOptions opt;
-      opt.plans = &cp->pred;
-      opt.num_threads = threads;
-      opt.sched = pol;
-      opt.chunk = 0;
-      std::string plan = hexBits(execute(*cp->program, opt).checksum);
-      if (first_plan.empty()) first_plan = plan;
-      EXPECT_EQ(plan, want.plan)
-          << e.name << " scale " << scale << ", plans at P=" << threads
-          << " sched=" << schedPolicyName(pol);
-    }
+    InterpOptions opt;
+    opt.plans = &cp->pred;
+    opt.num_threads = threads;
+    std::string plan = hexBits(execute(*cp->program, opt).checksum);
+    if (first_plan.empty()) first_plan = plan;
+    EXPECT_EQ(plan, want.plan)
+        << e.name << " scale " << scale << ", plans at P=" << threads;
   }
   EXPECT_EQ(seq, want.seq) << e.name << " scale " << scale << " sequential";
   if (seq != want.seq || first_plan != want.plan)

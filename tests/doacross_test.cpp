@@ -2,12 +2,11 @@
 // requirements in iteration ordinals), redundant-sync elimination, the
 // auditor's independent re-derivation (with teeth against forged
 // distances and forged eliminations), the race oracle modulo declared
-// syncs, and execution correctness across scheduling policies, thread
-// counts, chunk sizes, and window bounds.
+// syncs, and execution correctness across thread counts and window
+// bounds.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdlib>
 
 #include "audit/plan_audit.h"
 #include "audit/race_oracle.h"
@@ -384,43 +383,35 @@ TEST(DoacrossOracle, CatchesForgedDistance) {
 
 // ----------------------------------------------------- execution ----
 
-TEST(DoacrossExec, DeterministicAcrossPoliciesThreadsAndWindows) {
-  // For a FIXED chunk the block decomposition — and therefore every
-  // computed value, including floating-point reduction grouping — must
-  // be bit-identical across policies, thread counts, and window bounds.
-  // Against the sequential run only reductions reassociate, so that
-  // comparison gets the usual tiny relative tolerance.
-  const SchedPolicy policies[] = {SchedPolicy::Static, SchedPolicy::Dynamic,
-                                  SchedPolicy::Guided, SchedPolicy::Steal};
+TEST(DoacrossExec, DeterministicAcrossThreadsAndWindows) {
+  // The block decomposition — and therefore every computed value,
+  // including floating-point reduction grouping — must be bit-identical
+  // across thread counts and window bounds. Against the sequential run
+  // only reductions reassociate, so that comparison gets the usual tiny
+  // relative tolerance.
   for (const char* name : {"sor_pipe", "lin_rec4", "wavefront_sync"}) {
     CompiledProgram cp = compileEntry(name);
     InterpOptions seq;
     const double seq_sum = execute(*cp.program, seq).checksum;
     bool have_baseline = false;
     double baseline = 0;
-    for (SchedPolicy pol : policies) {
-      for (unsigned threads : {1u, 2u, 8u}) {
-        for (int64_t window : {int64_t{2}, int64_t{64}}) {
-          InterpOptions opt;
-          opt.plans = &cp.pred;
-          opt.num_threads = threads;
-          opt.sched = pol;
-          opt.chunk = 1;
-          opt.doacross_window = window;
-          InterpStats st = execute(*cp.program, opt);
-          if (!have_baseline) {
-            baseline = st.checksum;
-            have_baseline = true;
-            EXPECT_NEAR(baseline, seq_sum,
-                        1e-9 * (std::abs(seq_sum) + 1.0))
-                << name;
-          }
-          EXPECT_EQ(st.checksum, baseline)
-              << name << " policy=" << schedPolicyName(pol)
-              << " T=" << threads << " window=" << window;
-          if (threads > 1) {
-            EXPECT_GT(st.doacross_loops_entered, 0u) << name;
-          }
+    for (unsigned threads : {1u, 2u, 8u}) {
+      for (int64_t window : {int64_t{2}, int64_t{64}}) {
+        InterpOptions opt;
+        opt.plans = &cp.pred;
+        opt.num_threads = threads;
+        opt.doacross_window = window;
+        InterpStats st = execute(*cp.program, opt);
+        if (!have_baseline) {
+          baseline = st.checksum;
+          have_baseline = true;
+          EXPECT_NEAR(baseline, seq_sum, 1e-9 * (std::abs(seq_sum) + 1.0))
+              << name;
+        }
+        EXPECT_EQ(st.checksum, baseline)
+            << name << " T=" << threads << " window=" << window;
+        if (threads > 1) {
+          EXPECT_GT(st.doacross_loops_entered, 0u) << name;
         }
       }
     }
@@ -448,27 +439,14 @@ TEST(DoacrossExec, PipelineOverlapsInSimulatedTime) {
 
 // ----------------------------------------------------- signature ----
 
-TEST(DoacrossSignature, SyncsAreInTheSignatureAndEnvIsNot) {
+TEST(DoacrossSignature, SyncsAreInTheSignature) {
   CompiledProgram cp = compileEntry("wavefront_sync");
   std::string sig = planSignature(cp);
   // Sync requirements (with elimination marks) are part of the plan's
-  // canonical identity...
+  // canonical identity.
   EXPECT_NE(sig.find("syncs=["), std::string::npos);
   EXPECT_NE(sig.find(":d1"), std::string::npos);
   EXPECT_NE(sig.find(":d2-elim"), std::string::npos);
-  // ...while the scheduling knobs are runtime-only: recompiling under
-  // different PADFA_SCHED / PADFA_CHUNK / PADFA_DOACROSS_WINDOW values
-  // must reproduce the signature byte for byte.
-  for (const char* sched : {"static", "dynamic", "guided", "steal"}) {
-    setenv("PADFA_SCHED", sched, 1);
-    setenv("PADFA_CHUNK", "3", 1);
-    setenv("PADFA_DOACROSS_WINDOW", "2", 1);
-    CompiledProgram again = compileEntry("wavefront_sync");
-    EXPECT_EQ(planSignature(again), sig) << sched;
-  }
-  unsetenv("PADFA_SCHED");
-  unsetenv("PADFA_CHUNK");
-  unsetenv("PADFA_DOACROSS_WINDOW");
 }
 
 }  // namespace

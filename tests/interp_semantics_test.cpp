@@ -1,12 +1,13 @@
 // Deeper MF semantics tests: scoping, return, intrinsic edge cases,
-// negative steps, copy-out scalars, reduction identities, and runtime
-// statistics.
+// negative steps, copy-out scalars, reduction identities, runtime
+// statistics, and faults raised inside parallel regions.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "audit/race_oracle.h"
 #include "dataflow/analysis.h"
+#include "driver/padfa.h"
 #include "interp/interp.h"
 #include "lang/parser.h"
 #include "lang/sema.h"
@@ -282,15 +283,18 @@ proc main() {
 // messages and locations, static typing of mixed expressions, and the
 // instrumentation hooks.
 
-/// The message of the RuntimeError a sequential run throws ("" if none).
-std::string faultOf(Prog& p) {
+/// The message of the RuntimeError execute() throws under `opt` ("" if
+/// none); by default, a sequential run's.
+std::string faultOf(const Program& program, const InterpOptions& opt = {}) {
   try {
-    execute(*p.program, {});
+    execute(program, opt);
   } catch (const RuntimeError& e) {
     return e.what();
   }
   return "";
 }
+
+std::string faultOf(Prog& p) { return faultOf(*p.program); }
 
 std::string faultOf(std::string_view src) {
   Prog p = build(src);
@@ -585,6 +589,65 @@ proc main() {
     EXPECT_EQ(oracle.totalAccesses(), c.accesses) << c.line;
     EXPECT_EQ(oracle.report(p.program->interner), c.report);
   }
+}
+
+// ------------------------------------------------------ region faults --
+// A fault inside a parallel region must surface from execute() with the
+// sequential run's message: the faulting worker's error is rethrown at
+// the barrier, and its siblings stop at the next block (DOALL) or give up
+// their spin on a post that will never come (Doacross cancel) instead of
+// hanging. Every faulting iteration below reports the same index, so the
+// message does not depend on which worker faults first.
+
+void expectRegionFaultMatchesSequential(const char* src, LoopStatus status) {
+  DiagEngine diags;
+  auto cp = compileSource(src, diags);
+  ASSERT_TRUE(cp.has_value()) << diags.dump();
+  size_t planned = 0;
+  for (const auto& [loop, plan] : cp->pred.plans)
+    planned += plan.status == status ? 1 : 0;
+  ASSERT_EQ(planned, 1u) << loopStatusName(status);
+  const std::string seq = faultOf(*cp->program);
+  ASSERT_NE(seq.find("index 64 out of bounds"), std::string::npos) << seq;
+  for (unsigned threads : {1u, 4u}) {
+    InterpOptions opt;
+    opt.plans = &cp->pred;
+    opt.num_threads = threads;
+    EXPECT_EQ(faultOf(*cp->program, opt), seq)
+        << loopStatusName(status) << " at P=" << threads;
+  }
+}
+
+TEST(RegionFault, DoallFaultSurfacesWithTheSequentialMessage) {
+  // Iterations 150..199 all fault; the rest run in other blocks.
+  expectRegionFaultMatchesSequential(R"(
+proc main() {
+  real a[200];
+  int c[64];
+  for i = 0 to 199 { a[i] = noise(i) + c[i / 150 * 64]; }
+  sink(a[5]);
+}
+)",
+                                     LoopStatus::Parallel);
+}
+
+TEST(RegionFault, DoacrossFaultCancelsWaitingSiblings) {
+  // Ordinal 47 (i = 48) faults after its wait but before its post of
+  // a[i]; every later iteration then spins on that post until the
+  // region cancels it.
+  expectRegionFaultMatchesSequential(R"(
+proc main() {
+  real a[64];
+  real b[64];
+  int c[64];
+  for i = 1 to 63 {
+    b[i] = noise(i) * 0.25;
+    a[i] = a[i - 1] * 0.5 + b[i] + c[i / 48 * 64];
+  }
+  sink(a[63]);
+}
+)",
+                                     LoopStatus::Doacross);
 }
 
 }  // namespace

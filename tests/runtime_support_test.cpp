@@ -1,9 +1,8 @@
-// Unit tests for the runtime substrate: thread pool scheduling, iteration
-// splitting, and the ELPD collector's verdict logic in isolation.
+// Unit tests for the runtime substrate: thread pool scheduling, the
+// block scheduler, and the ELPD collector's verdict logic in isolation.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <limits>
 #include <numeric>
 
 #include "runtime/elpd.h"
@@ -13,114 +12,13 @@
 namespace padfa {
 namespace {
 
-TEST(SplitIterations, EvenSplit) {
-  auto parts = splitIterations(0, 99, 1, 4);
-  ASSERT_EQ(parts.size(), 4u);
-  EXPECT_EQ(parts[0], (std::pair<int64_t, int64_t>{0, 24}));
-  EXPECT_EQ(parts[3], (std::pair<int64_t, int64_t>{75, 99}));
-}
-
-TEST(SplitIterations, RemainderGoesToFirstParts) {
-  auto parts = splitIterations(0, 9, 1, 4);  // 10 iters over 4 parts
-  int64_t total = 0;
-  for (auto [lo, hi] : parts)
-    if (lo <= hi) total += hi - lo + 1;
-  EXPECT_EQ(total, 10);
-  EXPECT_EQ(parts[0].second - parts[0].first + 1, 3);  // 3,3,2,2
-}
-
-TEST(SplitIterations, MorePartsThanIterations) {
-  auto parts = splitIterations(5, 6, 1, 8);
-  int nonempty = 0;
-  for (auto [lo, hi] : parts)
-    if (lo <= hi) ++nonempty;
-  EXPECT_EQ(nonempty, 2);
-}
-
-TEST(SplitIterations, StridedSplitCoversExactly) {
-  auto parts = splitIterations(1, 20, 3, 3);  // 1,4,7,10,13,16,19
-  std::vector<int64_t> covered;
-  for (auto [lo, hi] : parts)
-    for (int64_t i = lo; i <= hi; i += 3) covered.push_back(i);
-  EXPECT_EQ(covered, (std::vector<int64_t>{1, 4, 7, 10, 13, 16, 19}));
-  // Chunk boundaries must stay on the stride grid.
-  for (auto [lo, hi] : parts)
-    if (lo <= hi) {
-      EXPECT_EQ((lo - 1) % 3, 0);
-    }
-}
-
-TEST(SplitIterations, EmptyRange) {
-  auto parts = splitIterations(5, 4, 1, 4);
-  for (auto [lo, hi] : parts) EXPECT_GT(lo, hi);
-}
-
-TEST(SplitIterations, NegativeStepCoversExactly) {
-  auto parts = splitIterations(20, 1, -3, 3);  // 20,17,14,11,8,5,2
-  std::vector<int64_t> covered;
-  for (auto [lo, hi] : parts)
-    for (int64_t i = lo; i >= hi; i -= 3) covered.push_back(i);
-  EXPECT_EQ(covered, (std::vector<int64_t>{20, 17, 14, 11, 8, 5, 2}));
-}
-
-TEST(SplitIterations, NegativeStepEmptyRange) {
-  // The range runs against the step direction: every part is the
-  // direction-appropriate empty marker (first < last).
-  auto parts = splitIterations(3, 5, -1, 4);
-  for (auto [lo, hi] : parts) EXPECT_LT(lo, hi);
-}
-
-TEST(SplitIterations, ZeroStepYieldsAllEmpty) {
-  auto parts = splitIterations(0, 10, 0, 3);
-  for (auto [lo, hi] : parts) EXPECT_GT(lo, hi);
-}
-
-TEST(SplitIterations, FullInt64DomainDoesNotOverflow) {
-  const int64_t kMin = std::numeric_limits<int64_t>::min();
-  const int64_t kMax = std::numeric_limits<int64_t>::max();
-  auto parts = splitIterations(kMin, kMax, 1, 4);
-  ASSERT_EQ(parts.size(), 4u);
-  EXPECT_EQ(parts.front().first, kMin);
-  EXPECT_EQ(parts.back().second, kMax);
-  for (size_t i = 1; i < parts.size(); ++i)
-    EXPECT_EQ(parts[i].first, parts[i - 1].second + 1);
-}
-
-TEST(SplitIterations, BoundsNearInt64MaxStayOnGrid) {
-  const int64_t kMax = std::numeric_limits<int64_t>::max();
-  auto parts = splitIterations(kMax - 20, kMax - 1, 3, 4);
-  // Walk without ever incrementing past the bound (i += 3 would
-  // overflow next to INT64_MAX).
-  auto walk = [](int64_t lo, int64_t hi, std::vector<int64_t>& out) {
-    for (int64_t i = lo; i <= hi; i += 3) {
-      out.push_back(i);
-      if (i > hi - 3) break;
-    }
-  };
-  std::vector<int64_t> covered;
-  for (auto [lo, hi] : parts)
-    if (lo <= hi) walk(lo, hi, covered);
-  std::vector<int64_t> expect;
-  walk(kMax - 20, kMax - 1, expect);
-  EXPECT_EQ(covered, expect);
-}
-
 // ---- block scheduler ----
 
-TEST(Scheduler, PolicyNamesRoundTrip) {
-  for (SchedPolicy p : {SchedPolicy::Static, SchedPolicy::Dynamic,
-                        SchedPolicy::Guided, SchedPolicy::Steal})
-    EXPECT_EQ(schedPolicyFromName(schedPolicyName(p)), p);
-  EXPECT_EQ(schedPolicyFromName("bogus", SchedPolicy::Static),
-            SchedPolicy::Static);
-}
-
 TEST(Scheduler, ResolveChunkAutoRule) {
-  EXPECT_EQ(resolveChunk(100, 16), 16);   // explicit request wins
-  EXPECT_EQ(resolveChunk(0, 0), 1);       // floor 1
-  EXPECT_EQ(resolveChunk(64, 0), 1);
-  EXPECT_EQ(resolveChunk(6400, 0), 100);  // trip / 64
-  EXPECT_EQ(resolveChunk(uint64_t{1} << 30, 0), 4096);  // ceiling
+  EXPECT_EQ(resolveChunk(0), 1);       // floor 1
+  EXPECT_EQ(resolveChunk(64), 1);
+  EXPECT_EQ(resolveChunk(6400), 100);  // trip / 64
+  EXPECT_EQ(resolveChunk(uint64_t{1} << 30), 4096);  // ceiling
 }
 
 TEST(Scheduler, BlockDecompositionCoversExactly) {
@@ -140,42 +38,30 @@ TEST(Scheduler, BlockDecompositionCoversExactly) {
   EXPECT_EQ(covered, (std::vector<int64_t>{1, 4, 7, 10, 13, 16, 19}));
 }
 
-TEST(Scheduler, EveryPolicyRunsEachBlockExactlyOnce) {
+TEST(Scheduler, RunsEachBlockExactlyOnce) {
   LoopRange r{0, 99, 1};
   const int64_t chunk = 4;
   const uint64_t nb = blockCount(loopTripCount(r), chunk);
-  for (SchedPolicy pol : {SchedPolicy::Static, SchedPolicy::Dynamic,
-                          SchedPolicy::Guided, SchedPolicy::Steal}) {
-    ThreadPool pool(4);
-    std::vector<std::atomic<int>> hits(nb);
-    runBlocks(pool, r, chunk, pol, [&](unsigned, const LoopBlock& blk) {
-      hits[blk.index].fetch_add(1);
-    });
-    for (uint64_t b = 0; b < nb; ++b)
-      EXPECT_EQ(hits[b].load(), 1) << schedPolicyName(pol) << " block " << b;
-  }
+  ThreadPool pool(4);
+  std::vector<std::atomic<int>> hits(nb);
+  runBlocks(pool, r, chunk, [&](unsigned, const LoopBlock& blk) {
+    hits[blk.index].fetch_add(1);
+  });
+  for (uint64_t b = 0; b < nb; ++b) EXPECT_EQ(hits[b].load(), 1) << b;
 }
 
 TEST(Scheduler, WorkersSeeBlocksInIncreasingOrder) {
-  // Each worker executes the blocks of a claim in increasing index
-  // order. For static/dynamic/guided the claims themselves are also
-  // monotone per worker, so the whole per-worker sequence is sorted; a
-  // stealing worker may acquire a batch below blocks it already ran
-  // (the deadlock-freedom argument there rests on acquiring only while
-  // idle, not on global monotonicity), so steal is covered by the
-  // blocks-once test above instead.
+  // Claims come from one increasing counter, so every worker's sequence
+  // of blocks is sorted — the Doacross deadlock-freedom argument rests
+  // on it (DESIGN.md §14.4).
   LoopRange r{0, 499, 1};
-  for (SchedPolicy pol : {SchedPolicy::Static, SchedPolicy::Dynamic,
-                          SchedPolicy::Guided}) {
-    ThreadPool pool(4);
-    std::vector<std::vector<uint64_t>> seen(pool.size());
-    runBlocks(pool, r, 1, pol, [&](unsigned t, const LoopBlock& blk) {
-      seen[t].push_back(blk.index);
-    });
-    for (const auto& order : seen)
-      for (size_t i = 1; i < order.size(); ++i)
-        EXPECT_LT(order[i - 1], order[i]) << schedPolicyName(pol);
-  }
+  ThreadPool pool(4);
+  std::vector<std::vector<uint64_t>> seen(pool.size());
+  runBlocks(pool, r, 1, [&](unsigned t, const LoopBlock& blk) {
+    seen[t].push_back(blk.index);
+  });
+  for (const auto& order : seen)
+    for (size_t i = 1; i < order.size(); ++i) EXPECT_LT(order[i - 1], order[i]);
 }
 
 TEST(ThreadPool, RunsAllWorkers) {
